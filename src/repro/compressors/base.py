@@ -26,8 +26,14 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.encoding.bitio import BitReader
+from repro.encoding.context import stream_width
+from repro.encoding.huffman import (
+    huffman_decode,
+    huffman_decode_with_code,
+    huffman_encode,
+    pack_codewords,
+)
 from repro.encoding.rle import rle_decode, rle_encode
-from repro.encoding.huffman import huffman_decode, huffman_encode
 from repro.encoding.varint import decode_varint, encode_varint
 from repro.encoding.zstd_like import zstd_like_compress, zstd_like_decompress
 from repro.utils.validation import ensure_in
@@ -253,8 +259,8 @@ class LosslessBackend:
             raise ValueError("symbols must be non-negative")
         best = self._encode_symbols_plain(symbols)
         if context is not None and self.name != "raw" and symbols.size:
-            candidate = self._encode_context_candidate(symbols, context)
-            if candidate is not None and len(candidate) < len(best):
+            candidate = self._encode_context_candidate(symbols, context, len(best))
+            if candidate is not None:
                 return candidate
         return best
 
@@ -290,49 +296,42 @@ class LosslessBackend:
         return entropy_candidate
 
     # -- context-coded (halo) streams ----------------------------------
-    def _encode_context_candidate(self, symbols: np.ndarray, context) -> Optional[bytes]:
+    def _encode_context_candidate(
+        self, symbols: np.ndarray, context, limit: int
+    ) -> Optional[bytes]:
         """Tag-``C`` candidate: code against the reference-tile histogram.
 
         Layout: ``C | varint n | varint pool_width | varint n_escapes |
         packed escape values (pool_width bits each) | bit stream``.  The
-        canonical code is derived from the context pool plus the escape
-        pseudo-symbol on both sides, so no table is stored.
+        canonical code is the context pool's own (its alphabet plus the
+        escape pseudo-symbol, derived once per pool on both sides), so no
+        table is stored.  The candidate is sized from the code lengths and
+        only packed when it is strictly smaller than ``limit`` bytes;
+        otherwise ``None``.
         """
-
-        from repro.encoding.context import stream_width
-        from repro.encoding.huffman import (
-            canonical_code_from_counts,
-            huffman_encode_with_code,
-        )
 
         width = stream_width(symbols)
         pool = context.pool(width)
         if pool is None:
             return None
-        esc_symbol = pool.escape_symbol
-        code_symbols = np.append(pool.symbols, esc_symbol)
-        code_counts = np.append(pool.counts, pool.escape_count)
-        syms_c, lens_c, codes_c = canonical_code_from_counts(code_symbols, code_counts)
-
-        in_alphabet = np.isin(symbols, pool.symbols)
-        escapes = symbols[~in_alphabet]
-        coded = np.where(in_alphabet, symbols, esc_symbol)
-        bitstream = huffman_encode_with_code(coded, syms_c, lens_c, codes_c)
-
-        body = bytearray(b"C")
-        body.extend(encode_varint(symbols.size))
-        body.extend(encode_varint(width))
-        body.extend(encode_varint(int(escapes.size)))
-        body.extend(self._pack_fixed_width(escapes, width))
-        body.extend(bitstream)
-        return bytes(body)
-
-    def _decode_context_stream(self, body: bytes, context) -> np.ndarray:
-        from repro.encoding.huffman import (
-            canonical_code_from_counts,
-            huffman_decode_with_code,
+        _, lens_c, codes_c = pool.code
+        slots = pool.slots(symbols)
+        escapes = symbols[slots == pool.escape_slot]
+        lens = lens_c[slots]
+        header = bytearray(b"C")
+        header.extend(encode_varint(symbols.size))
+        header.extend(encode_varint(width))
+        header.extend(encode_varint(int(escapes.size)))
+        escape_bytes = (escapes.size * width + 7) // 8
+        if len(header) + escape_bytes + (int(lens.sum()) + 7) // 8 >= limit:
+            return None
+        return (
+            bytes(header)
+            + self._pack_fixed_width(escapes, width)
+            + pack_codewords(codes_c[slots], lens)
         )
 
+    def _decode_context_stream(self, body: bytes, context) -> np.ndarray:
         if context is None:
             raise ValueError(
                 "context-coded (halo) stream but no entropy context supplied"
@@ -354,12 +353,9 @@ class LosslessBackend:
             ).astype(np.int64)
         pos += escape_bytes
 
-        esc_symbol = pool.escape_symbol
-        code_symbols = np.append(pool.symbols, esc_symbol)
-        code_counts = np.append(pool.counts, pool.escape_count)
-        syms_c, lens_c, _ = canonical_code_from_counts(code_symbols, code_counts)
+        syms_c, lens_c, _ = pool.code
         decoded = huffman_decode_with_code(body[pos:], count, syms_c, lens_c)
-        escape_positions = np.flatnonzero(decoded == esc_symbol)
+        escape_positions = np.flatnonzero(decoded == pool.escape_symbol)
         if escape_positions.size != n_escapes:
             raise ValueError("context stream escape count mismatch")
         if n_escapes:
@@ -382,6 +378,8 @@ class LosslessBackend:
             return self._decode_context_stream(body, context)
         if tag == b"R":
             count, pos = decode_varint(body, 0)
+            if len(body) - pos < 8 * count:
+                raise EOFError("truncated raw symbol stream")
             return np.frombuffer(body[pos : pos + 8 * count], dtype="<i8").astype(np.int64)
         if tag == b"P":
             return self._decode_packed(body)

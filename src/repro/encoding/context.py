@@ -38,17 +38,25 @@ unpredictable-value side channel).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
+from repro.encoding.huffman import canonical_code_from_counts
+
 __all__ = ["EntropyContext", "ContextPool", "stream_width"]
 
 #: Escape frequency divisor: the ESCAPE pseudo-symbol is charged
 #: ``max(1, n_ref // ESCAPE_FREQUENCY_DIVISOR)`` counts in the code build.
 ESCAPE_FREQUENCY_DIVISOR = 64
+
+#: Pools whose alphabet spans fewer values than this map stream symbols to
+#: code slots through one dense table; wider pools binary-search their
+#: alphabet.
+DENSE_SLOT_LIMIT = 1 << 16
 
 
 def stream_width(symbols: np.ndarray) -> int:
@@ -65,7 +73,9 @@ class ContextPool:
 
     ``symbols`` is strictly ascending; ``counts`` aligns with it.  The
     escape pseudo-symbol is ``symbols.max() + 1`` with frequency
-    :func:`escape_count` — both derived, never stored.
+    :func:`escape_count` — both derived, never stored.  The canonical code
+    and the symbol-to-slot lookup are derived once per pool and cached on
+    it (dropped on pickling).
     """
 
     symbols: np.ndarray  # int64, strictly ascending
@@ -82,6 +92,67 @@ class ContextPool:
     @property
     def escape_count(self) -> int:
         return max(1, self.total // ESCAPE_FREQUENCY_DIVISOR)
+
+    @functools.cached_property
+    def code(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The canonical code over the pool alphabet plus ``ESCAPE``.
+
+        ``(syms, lens, codes)`` in canonical order, derived on first use
+        and kept on the pool: every stream coded against this context
+        shares one code build, and the code lives exactly as long as the
+        context does.
+        """
+
+        return canonical_code_from_counts(
+            np.append(self.symbols, self.escape_symbol),
+            np.append(self.counts, self.escape_count),
+        )
+
+    @property
+    def _dense(self) -> bool:
+        return self.escape_symbol - int(self.symbols[0]) < DENSE_SLOT_LIMIT
+
+    @functools.cached_property
+    def _slot_lookup(self) -> np.ndarray:
+        """Symbol -> canonical code slot; the last entry is the escape slot.
+
+        Dense over ``symbols[0]..escape_symbol`` when that range is narrow,
+        else indexed by position in the (ascending) pool alphabet.
+        """
+
+        # The code alphabet is ascending with ESCAPE last, so its argsort
+        # gives the canonical slot of each pool symbol in order.
+        rank = np.argsort(self.code[0], kind="stable")
+        if not self._dense:
+            return rank
+        low = int(self.symbols[0])
+        # int32 holds every slot (a dense pool has at most 2**16) and halves
+        # what a context kept alive for its dependants retains.
+        lookup = np.full(self.escape_symbol - low + 1, rank[-1], dtype=np.int32)
+        lookup[self.symbols - low] = rank[:-1]
+        return lookup
+
+    @property
+    def escape_slot(self) -> int:
+        return int(self._slot_lookup[-1])
+
+    def slots(self, stream: np.ndarray) -> np.ndarray:
+        """Canonical code slot of every symbol of ``stream``; symbols
+        outside the pool alphabet map to :attr:`escape_slot`."""
+
+        lookup = self._slot_lookup
+        if self._dense:
+            # Below the alphabet clips to -1 and above it to the end: both
+            # index the escape slot.
+            index = np.clip(stream - int(self.symbols[0]), -1, lookup.size - 1)
+            return lookup[index]
+        index = np.searchsorted(self.symbols, stream)
+        found = self.symbols[np.minimum(index, self.symbols.size - 1)] == stream
+        return np.where(found, lookup[index], lookup[-1])
+
+    def __getstate__(self):
+        # Derived code tables are rebuilt on demand, never pickled.
+        return {"symbols": self.symbols, "counts": self.counts}
 
 
 class EntropyContext:

@@ -12,13 +12,15 @@ canonical Huffman implementation:
   *length-limited* (zlib-style Kraft repair) so every codeword fits the
   decoder's lookup table,
 * codes are made *canonical* so the decoder only needs the code lengths,
-* encoding is vectorised with NumPy (per-symbol code/length lookup followed
-  by a single ``packbits`` pass),
+* encoding is vectorised with NumPy (per-symbol code/length lookup, then
+  one per-codeword packer, :func:`pack_codewords`, shared by every
+  encoder),
 * decoding is vectorised too: a canonical prefix table maps every
-  ``max_len``-bit window of the payload to ``(symbol, length)``, and the
-  serial "next codeword starts where the previous one ended" chain is
-  resolved with pointer doubling (``log2(n)`` gathers) instead of a
-  per-symbol Python loop.
+  ``max_len``-bit window of the payload (cut from 32-bit big-endian words)
+  to ``(symbol, length)``, and the serial "next codeword starts where the
+  previous one ended" chain is resolved with pointer doubling over
+  ``np.intp`` index arrays (``log2(n)`` gathers) instead of a per-symbol
+  Python loop.
 
 The encoded container stores the symbol table (symbols + code lengths) with
 varints, then the bit stream.
@@ -46,6 +48,7 @@ __all__ = [
     "canonical_code_from_counts",
     "huffman_encode_with_code",
     "huffman_decode_with_code",
+    "pack_codewords",
 ]
 
 _MAX_CODE_LENGTH = 57  # keeps (code << length) within a 64-bit word during packing
@@ -263,6 +266,34 @@ def _count_symbols(arr: np.ndarray):
     return present + vmin, slot[arr - vmin], full[present]
 
 
+def pack_codewords(codes: np.ndarray, lens: np.ndarray) -> bytes:
+    """MSB-first packing of variable-length codewords, in stream order.
+
+    Work is per codeword, not per bit: each codeword is left-aligned in the
+    ``span``-byte window that starts at its first byte (a codeword of at
+    most ``_MAX_CODE_LENGTH`` bits starting up to 7 bits into a byte fits
+    in 8), and the windows' bytes are summed into the output.  Codewords
+    never share a bit, so the sum is the bitwise OR, and every byte sum
+    stays below 256 — exact in the float weights ``bincount`` takes.
+    """
+
+    if lens.size == 0:
+        return b""
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    n_bytes = (int(ends[-1]) + 7) // 8
+    span = (int(lens.max()) + 14) // 8
+    first = starts >> 3
+    aligned = np.asarray(codes, dtype=np.uint64) << (8 * span - (starts & 7) - lens).astype(
+        np.uint64
+    )
+    out = np.zeros(n_bytes + span, dtype=np.float64)
+    for j in range(span):
+        piece = (aligned >> np.uint64(8 * (span - 1 - j))) & np.uint64(0xFF)
+        out += np.bincount(first + j, weights=piece, minlength=out.size)
+    return out[:n_bytes].astype(np.uint8).tobytes()
+
+
 def huffman_encode(symbols: Sequence[int]) -> bytes:
     """Encode a sequence of non-negative integers into a self-describing blob."""
 
@@ -294,19 +325,7 @@ def huffman_encode(symbols: Sequence[int]) -> bytes:
     rank = np.empty(values.size, dtype=np.int64)
     rank[order] = np.arange(values.size)
     index = rank[np.asarray(inverse).ravel()]
-    codes_arr = codes_c[index]
-    lens_arr = lens_c[index]
-
-    # Vectorised MSB-first bit packing: expand every codeword into exactly
-    # its own bits (no max_len-wide matrix) — bit k of a length-L codeword
-    # is (code >> (L-1-k)) & 1, laid out flat in symbol order.
-    starts = np.cumsum(lens_arr) - lens_arr
-    total = int(starts[-1] + lens_arr[-1])
-    within = np.arange(total, dtype=np.int64) - np.repeat(starts, lens_arr)
-    rep_codes = np.repeat(codes_arr, lens_arr)
-    rep_shifts = (np.repeat(lens_arr, lens_arr) - 1 - within).astype(np.uint64)
-    bits = ((rep_codes >> rep_shifts) & np.uint64(1)).astype(np.uint8)
-    payload = np.packbits(bits).tobytes()
+    payload = pack_codewords(codes_c[index], lens_c[index])
     out.extend(encode_varint(len(payload)))
     out.extend(payload)
     return bytes(out)
@@ -320,7 +339,8 @@ def _decode_vectorized(
     ``syms_canonical`` / ``lens_canonical`` are the alphabet in canonical
     (length, symbol) order; the canonical codewords themselves are never
     materialised — they tile the prefix space contiguously, so the lookup
-    table is a single ``repeat``.
+    table is a single ``repeat``.  Every array used as a gather index is
+    ``np.intp``, so no gather pays an index conversion.
     """
 
     max_len = int(lens_canonical[-1])
@@ -329,8 +349,8 @@ def _decode_vectorized(
     # Canonical codewords tile the prefix space contiguously (base of the
     # next codeword = base + span of the previous), so the full lookup
     # table is a single repeat; the tail past the Kraft sum is invalid.
-    lens = lens_canonical.astype(np.int32)
-    spans = np.int64(1) << (max_len - lens)
+    lens = lens_canonical.astype(np.intp)
+    spans = np.intp(1) << (max_len - lens)
     if int(spans.sum()) > (1 << max_len):
         raise ValueError("invalid Huffman code lengths (Kraft violation)")
     table_syms = np.repeat(syms_canonical, spans)
@@ -338,15 +358,19 @@ def _decode_vectorized(
     gap = (1 << max_len) - table_syms.size
     if gap:
         table_syms = np.concatenate([table_syms, np.zeros(gap, dtype=np.int64)])
-        table_lens = np.concatenate([table_lens, np.zeros(gap, dtype=np.int32)])
+        table_lens = np.concatenate([table_lens, np.zeros(gap, dtype=np.intp)])
 
     # Window value of the max_len bits starting at every bit position
-    # (zero-padded past the end of the payload).
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
-    padded = np.concatenate([bits, np.zeros(max_len, dtype=np.uint8)])
-    windows = np.zeros(total_bits, dtype=np.int32)
-    for k in range(max_len):
-        windows |= padded[k : k + total_bits].astype(np.int32) << np.int32(max_len - 1 - k)
+    # (zero-padded past the end of the payload).  A window starts at most
+    # 7 bits into its byte and max_len <= _MAX_TABLE_BITS, so it lies inside
+    # the big-endian 32-bit word starting at that byte: one shift-and-mask
+    # per bit offset.
+    padded = np.frombuffer(bytes(payload) + bytes(3), dtype=np.uint8)
+    words = np.ndarray(len(payload), dtype=">u4", buffer=padded, strides=(1,))
+    shifts = np.arange(32 - max_len, 24 - max_len, -1, dtype=np.intp)
+    windows = words.astype(np.intp)[:, None] >> shifts
+    windows &= (1 << max_len) - 1
+    windows = windows.ravel()
 
     len_at = table_lens[windows]
 
@@ -354,9 +378,8 @@ def _decode_vectorized(
     # sentinel (total_bits) absorbs jumps past the end, and invalid
     # prefixes (length 0) self-loop — both are rejected after the chain.
     sentinel = total_bits
-    jump = np.empty(total_bits + 1, dtype=np.int32)
-    np.add(np.arange(total_bits, dtype=np.int32), len_at, out=jump[:total_bits])
-    jump[total_bits] = sentinel
+    jump = np.arange(total_bits + 1, dtype=np.intp)
+    jump[:total_bits] += len_at
     np.minimum(jump, sentinel, out=jump)
 
     # Pointer doubling: with the first `filled` codeword positions known and
@@ -365,7 +388,7 @@ def _decode_vectorized(
     # stride and extend the sequence stride-by-stride instead — the
     # remaining extensions only gather `stride` elements each.
     stride_cap = 256
-    seq = np.empty(n_symbols, dtype=np.int32)
+    seq = np.empty(n_symbols, dtype=np.intp)
     seq[0] = 0
     filled = 1
     J = jump
@@ -444,17 +467,10 @@ def huffman_decode(blob: bytes) -> np.ndarray:
     if len(payload) < payload_len:
         raise EOFError("truncated Huffman payload")
 
-    if table_size == 1:
-        # Degenerate single-symbol stream: each symbol used one bit.
-        return np.full(n_symbols, syms[0], dtype=np.int64)
     if table_size == 0 or lens.min() < 1:
         raise ValueError("invalid Huffman symbol table")
     order = np.lexsort((syms, lens))
-    lens_canonical = lens[order]
-    if int(lens_canonical[-1]) <= _MAX_TABLE_BITS:
-        return _decode_vectorized(syms[order], lens_canonical, payload, n_symbols)
-    code = HuffmanCode.from_lengths({int(s): int(l) for s, l in zip(syms, lens)})
-    return _decode_scalar(code, payload, n_symbols)
+    return huffman_decode_with_code(payload, n_symbols, syms[order], lens[order])
 
 
 # ----------------------------------------------------------------------
@@ -512,17 +528,7 @@ def huffman_encode_with_code(
     ):
         raise ValueError("stream contains symbols outside the agreed code")
     slots = sym_order[pos]
-    codes_arr = codes_canonical[slots]
-    lens_arr = lens_canonical[slots]
-
-    # Same vectorised MSB-first packing as huffman_encode.
-    starts = np.cumsum(lens_arr) - lens_arr
-    total = int(starts[-1] + lens_arr[-1])
-    within = np.arange(total, dtype=np.int64) - np.repeat(starts, lens_arr)
-    rep_codes = np.repeat(codes_arr, lens_arr)
-    rep_shifts = (np.repeat(lens_arr, lens_arr) - 1 - within).astype(np.uint64)
-    bits = ((rep_codes >> rep_shifts) & np.uint64(1)).astype(np.uint8)
-    return np.packbits(bits).tobytes()
+    return pack_codewords(codes_canonical[slots], lens_canonical[slots])
 
 
 def huffman_decode_with_code(
@@ -541,9 +547,7 @@ def huffman_decode_with_code(
             raise EOFError("bit stream exhausted")
         return np.full(n_symbols, int(syms_canonical[0]), dtype=np.int64)
     if int(lens_canonical[-1]) <= _MAX_TABLE_BITS:
-        return _decode_vectorized(
-            syms_canonical, lens_canonical.astype(np.int64), payload, n_symbols
-        )
+        return _decode_vectorized(syms_canonical, lens_canonical, payload, n_symbols)
     code = HuffmanCode.from_lengths(
         {int(s): int(l) for s, l in zip(syms_canonical, lens_canonical)}
     )

@@ -3,16 +3,24 @@ lossless backend's context-coded ``C`` streams)."""
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
+import repro.encoding.context as context_module
 from repro.compressors.base import LosslessBackend
-from repro.encoding.context import EntropyContext, stream_width
+from repro.compressors.mgard import MGARDCompressor
+from repro.compressors.sz import SZCompressor
+from repro.compressors.zfp import ZFPCompressor
+from repro.datasets.miranda import generate_miranda_like_volume
+from repro.encoding.context import DENSE_SLOT_LIMIT, EntropyContext, stream_width
 from repro.encoding.huffman import (
     canonical_code_from_counts,
     huffman_decode_with_code,
     huffman_encode_with_code,
 )
+from repro.volumes.pipeline import compress_volume, decompress_volume
 
 
 def _peaked(rng, n, scale=3, outlier_rate=0.01, outlier_span=(500, 4000)):
@@ -146,6 +154,20 @@ class TestContextStreams:
             backend.decode_symbols(coded, context=context), stream
         )
 
+    def test_wide_alphabet_context_round_trips(self):
+        # Outliers spread the pool past the dense slot table.
+        rng = np.random.default_rng(12)
+        backend = LosslessBackend("huffman")
+        wide = (DENSE_SLOT_LIMIT, 8 * DENSE_SLOT_LIMIT)
+        context = EntropyContext.from_streams([_peaked(rng, 40000, outlier_span=wide)])
+        stream = _peaked(rng, 2000, outlier_span=wide)
+        assert not context.pool(stream_width(stream))._dense
+        coded = backend.encode_symbols(stream, context=context)
+        assert coded[:1] == b"C"
+        assert np.array_equal(
+            backend.decode_symbols(coded, context=context), stream
+        )
+
     def test_decode_without_context_raises(self):
         rng = np.random.default_rng(5)
         backend = LosslessBackend("huffman")
@@ -183,3 +205,121 @@ class TestContextStreams:
         assert backend.encode_symbols(stream, context=context) == (
             backend.encode_symbols(stream)
         )
+
+
+def _count_code_builds(monkeypatch):
+    """Record the histogram of every context code build."""
+
+    built = []
+    original = context_module.canonical_code_from_counts
+
+    def counting(symbols, counts, **kwargs):
+        built.append((symbols.tobytes(), counts.tobytes()))
+        return original(symbols, counts, **kwargs)
+
+    monkeypatch.setattr(context_module, "canonical_code_from_counts", counting)
+    return built
+
+
+class TestPoolCode:
+    def test_code_is_built_once_per_pool(self, monkeypatch):
+        built = _count_code_builds(monkeypatch)
+        rng = np.random.default_rng(9)
+        backend = LosslessBackend("huffman")
+        context = EntropyContext.from_streams([_peaked(rng, 50000)])
+        for _ in range(3):
+            stream = _peaked(rng, 1500)
+            coded = backend.encode_symbols(stream, context=context)
+            assert coded[:1] == b"C"
+            assert np.array_equal(
+                backend.decode_symbols(coded, context=context), stream
+            )
+        assert len(built) == 1
+
+    def test_code_matches_escape_extended_histogram(self):
+        pool = EntropyContext.from_streams([np.array([3, 3, 5, 6, 6, 6])]).pool(3)
+        expected = canonical_code_from_counts(
+            np.append(pool.symbols, pool.escape_symbol),
+            np.append(pool.counts, pool.escape_count),
+        )
+        for got, want in zip(pool.code, expected):
+            assert np.array_equal(got, want)
+
+    def test_pickle_round_trip_after_code_is_built(self):
+        rng = np.random.default_rng(10)
+        context = EntropyContext.from_streams([_peaked(rng, 20000)])
+        digest = context.digest()
+        for width in context.widths:
+            context.pool(width).slots(np.arange(4))  # build code + lookup
+        clone = pickle.loads(pickle.dumps(context))
+        assert clone.digest() == digest == context.digest()
+        assert clone.widths == context.widths
+        for width in context.widths:
+            pool, copy = context.pool(width), clone.pool(width)
+            assert "code" not in vars(copy)  # derived state is not shipped
+            assert np.array_equal(copy.symbols, pool.symbols)
+            assert np.array_equal(copy.counts, pool.counts)
+            for got, want in zip(copy.code, pool.code):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "offset, outliers, dense",
+        [(0, (500, 4000), True), (100, (500, 4000), True),
+         (100, (DENSE_SLOT_LIMIT, 4 * DENSE_SLOT_LIMIT), False)],
+    )
+    def test_slots_map_alphabet_and_escapes(self, offset, outliers, dense):
+        rng = np.random.default_rng(11)
+        reference = offset + _peaked(rng, 5000, outlier_span=outliers)
+        pool = EntropyContext.from_streams([reference]).pool(stream_width(reference))
+        assert pool._dense is dense
+        syms = pool.code[0]
+        stream = offset + _peaked(rng, 3000, outlier_span=outliers)
+        stream[1::97] = pool.escape_symbol + 5  # above the alphabet
+        stream[2::89] = pool.escape_symbol  # the escape value itself
+        if offset:
+            stream[::50] = offset - 1  # below the alphabet
+        slots = pool.slots(stream)
+        known = np.isin(stream, pool.symbols)
+        assert (~known).any()
+        assert np.array_equal(syms[slots[known]], stream[known])
+        assert (slots[~known] == pool.escape_slot).all()
+        assert syms[pool.escape_slot] == pool.escape_symbol
+
+
+class TestCodeBuildsPerTile:
+    @pytest.mark.parametrize(
+        "codec_cls, name",
+        [(SZCompressor, "sz"), (ZFPCompressor, "zfp"), (MGARDCompressor, "mgard")],
+    )
+    def test_halo_round_trip_builds_each_code_once_per_tile(
+        self, monkeypatch, codec_cls, name
+    ):
+        built = _count_code_builds(monkeypatch)
+        tasks = []
+
+        def per_tile(attr):
+            original = getattr(codec_cls, attr)
+
+            def wrapper(self, *args, halo=None, **kwargs):
+                before = len(built)
+                result = original(self, *args, halo=halo, **kwargs)
+                keys = built[before:]
+                context = None if halo is None else halo.context
+                widths = () if context is None else context.widths
+                tasks.append((len(keys), len(set(keys)), len(widths)))
+                return result
+
+            monkeypatch.setattr(codec_cls, attr, wrapper)
+
+        per_tile("compress")
+        per_tile("decompress_with_context")
+        volume = generate_miranda_like_volume((64, 64, 32), seed=3)
+        compressed = compress_volume(
+            volume, name, 1e-3, tile_shape=(32, 32, 32), cache=False, halo=True
+        )
+        decoded = decompress_volume(compressed)
+        assert np.abs(decoded - volume).max() <= 1e-3 * (1 + 1e-9)
+        assert len(tasks) == 8  # 4 tiles encoded, 4 decoded
+        assert sum(n for n, _, _ in tasks) > 0  # context coding was exercised
+        for n_builds, n_distinct, n_widths in tasks:
+            assert n_builds == n_distinct <= n_widths

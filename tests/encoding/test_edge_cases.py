@@ -193,6 +193,16 @@ class TestHuffmanRobustness:
         with pytest.raises((EOFError, ValueError)):
             huffman_decode(b"\xff\xff\xff")
 
+    def test_single_symbol_short_payload_raises(self):
+        # 10 symbols of a one-symbol code need 10 bits; the header
+        # declares (and carries) a 1-byte payload.
+        blob = bytearray()
+        for value in (10, 1, 5, 1, 1):  # n, table size, (symbol, length), payload_len
+            blob.extend(encode_varint(value))
+        blob.extend(b"\x00")
+        with pytest.raises(EOFError):
+            huffman_decode(bytes(blob))
+
     def test_long_codes_fall_back_to_scalar_decoder(self):
         # A hand-built header with code lengths above the table limit still
         # decodes through the scalar path (foreign/legacy streams).
@@ -253,6 +263,13 @@ class TestBackendTagDispatch:
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
             LosslessBackend("huffman").decode_symbols(b"X123")
+
+    def test_truncated_raw_stream_raises(self):
+        backend = LosslessBackend("raw")
+        blob = backend.encode_symbols(np.arange(10))
+        assert self._tag(blob) == b"R"
+        with pytest.raises(EOFError):
+            backend.decode_symbols(blob[:-8])
 
     @given(
         st.lists(st.integers(min_value=0, max_value=5000), max_size=400),
