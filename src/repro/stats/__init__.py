@@ -1,17 +1,21 @@
-"""Correlation statistics of 2D fields.
+"""Correlation statistics of 2D fields and 3D volumes.
 
 This subpackage implements the statistical toolbox the paper uses to
 characterise correlation structure:
 
 * :mod:`repro.stats.variogram` -- empirical isotropic semi-variogram
-  (Matheron estimator, paper Eq. 1), with exact pair enumeration for small
-  fields and random pair subsampling for large ones.
+  (Matheron estimator, paper Eq. 1): exact pair enumeration by one batched,
+  dimension-general FFT estimator over a stack of same-shape 2D or 3D
+  fields, plus random pair subsampling as a cross-check.
 * :mod:`repro.stats.variogram_models` -- parametric variogram models
-  (squared-exponential as in the paper, plus exponential/spherical) and
-  least-squares fitting to estimate the variogram *range*.
+  (squared-exponential as in the paper, plus exponential/spherical) and a
+  batched separable least-squares fit of the variogram *range* (closed-form
+  sill and nugget, a search over ``log(range)`` only), invariant to the
+  field's scale.
 * :mod:`repro.stats.windows` -- tiling of a field into HxH windows.
 * :mod:`repro.stats.local` -- local (windowed) variogram ranges and their
-  standard deviation ("Std of estimated local variogram range (H=32)").
+  standard deviation ("Std of estimated local variogram range (H=32)"),
+  estimated and fitted for all windows of a 2D or 3D field in batches.
 * :mod:`repro.stats.svd` -- local SVD truncation levels (number of singular
   modes capturing 99% of variance) and their standard deviation.
 * :mod:`repro.stats.entropy` -- Shannon entropy of quantized fields (the

@@ -13,14 +13,18 @@ of Figure 7.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.stats.variogram import VariogramConfig, empirical_variogram
-from repro.stats.variogram_models import fit_variogram
-from repro.stats.windows import field_windows, window_grid_shape
-from repro.utils.validation import ensure_2d, ensure_positive
+from repro.stats.variogram import (
+    VariogramConfig,
+    _resolve_max_lag,
+    lag_geometry,
+    variogram_fft_batch,
+)
+from repro.stats.variogram_models import MODEL_FUNCTIONS, fit_variogram_batch
+from repro.utils.validation import ensure_2d, ensure_in, ensure_positive
 
 __all__ = ["LocalVariogramResult", "local_variogram_ranges", "std_local_variogram_range"]
 
@@ -71,6 +75,82 @@ class LocalVariogramResult:
         return int(np.count_nonzero(~np.isfinite(self.ranges)))
 
 
+#: Spectrum bytes (one complex half spectrum per window) a batch of windows
+#: may hold; bounds the estimator's working set to a few times this.
+_BATCH_SPECTRUM_BYTES = 16 << 20
+
+
+def _window_stack(field: np.ndarray, window: int, grid: Tuple[int, ...]) -> np.ndarray:
+    """All complete ``window``-sized tiles of ``field`` as one ``(n, *tile)`` stack."""
+
+    ndim = field.ndim
+    cropped = field[tuple(slice(0, g * window) for g in grid)]
+    split = cropped.reshape([n for g in grid for n in (g, window)])
+    order = list(range(0, 2 * ndim, 2)) + list(range(1, 2 * ndim, 2))
+    return np.ascontiguousarray(split.transpose(order), dtype=np.float64).reshape(
+        (-1,) + (window,) * ndim
+    )
+
+
+def windowed_variogram_ranges(
+    field: np.ndarray,
+    window: int,
+    *,
+    model: str = "gaussian",
+    config: Optional[VariogramConfig] = None,
+) -> LocalVariogramResult:
+    """Fitted range inside every complete ``window`` tile of a 2D or 3D field.
+
+    The shared N-d path of :func:`local_variogram_ranges` and
+    :func:`repro.stats.variogram3d.local_variogram_ranges_3d`: collect the
+    finite, non-constant windows, then estimate and fit them in batches
+    whose spectra stay within a fixed byte budget.
+    """
+
+    ensure_positive(window, "window")
+    ensure_in(model, tuple(MODEL_FUNCTIONS), "model")
+    grid = tuple(length // window for length in field.shape)
+    if min(grid) == 0:
+        raise ValueError(
+            f"field shape {field.shape} has no complete "
+            f"{'x'.join([str(window)] * field.ndim)} windows"
+        )
+    if config is None:
+        # Local windows are small; a max lag of half the window keeps enough
+        # pairs per bin for a stable fit.
+        config = VariogramConfig(max_lag=window / 2.0, bin_width=1.0)
+    if config.method != "fft":
+        raise ValueError(
+            "windowed variogram ranges use the exact FFT estimator (method='fft')"
+        )
+    max_lag = _resolve_max_lag((window,) * field.ndim, config.max_lag)
+
+    stack = _window_stack(field, window, grid)
+    flat = stack.reshape(len(stack), -1)
+    # Windows with non-finite values have no variogram, and (numerically)
+    # constant ones carry no correlation information: both stay NaN.
+    usable = np.isfinite(flat).all(axis=1)
+    usable[usable] = flat[usable].std(axis=1) >= 1e-15
+    ranges = np.full(len(stack), np.nan)
+    todo = np.flatnonzero(usable)
+    if todo.size:
+        geometry = lag_geometry(
+            stack.shape[1:], max_lag, config.bin_width, config.min_pairs_per_bin
+        )
+        # Too few bins to fit a model: every window stays NaN.
+        if geometry.lags.size >= 3:
+            batch = max(1, _BATCH_SPECTRUM_BYTES // geometry.ones_spectrum.nbytes)
+            for start in range(0, todo.size, batch):
+                chosen = todo[start : start + batch]
+                geometry, values, variances = variogram_fft_batch(
+                    stack[chosen], max_lag, config
+                )
+                ranges[chosen] = fit_variogram_batch(
+                    geometry.lags, values, geometry.pair_counts, variances, model
+                ).range
+    return LocalVariogramResult(window=window, ranges=ranges.reshape(grid))
+
+
 def local_variogram_ranges(
     field: np.ndarray,
     window: int = 32,
@@ -81,34 +161,12 @@ def local_variogram_ranges(
     """Estimate the variogram range inside every complete ``window`` tile.
 
     Windows whose data are (numerically) constant carry no correlation
-    information and yield NaN; they are excluded from the summary
-    statistics, mirroring how degenerate windows are dropped in practice.
+    information and yield NaN, as do windows holding NaN or infinite
+    values; they are excluded from the summary statistics, mirroring how
+    degenerate windows are dropped in practice.
     """
 
-    field = ensure_2d(field, "field")
-    ensure_positive(window, "window")
-    grid = window_grid_shape(field.shape, window)
-    if grid[0] == 0 or grid[1] == 0:
-        raise ValueError(
-            f"field shape {field.shape} has no complete {window}x{window} windows"
-        )
-    if config is None:
-        # Local windows are small; a max lag of half the window keeps enough
-        # pairs per bin for a stable fit.
-        config = VariogramConfig(max_lag=window / 2.0, bin_width=1.0)
-
-    ranges = np.full(grid, np.nan)
-    for (wi, wj), tile in field_windows(field, window):
-        tile_values = np.asarray(tile, dtype=np.float64)
-        if float(tile_values.std()) < 1e-15:
-            continue
-        try:
-            variogram = empirical_variogram(tile_values, config=config)
-            fitted = fit_variogram(variogram, model=model)
-        except (ValueError, RuntimeError):
-            continue
-        ranges[wi, wj] = fitted.range
-    return LocalVariogramResult(window=window, ranges=ranges)
+    return windowed_variogram_ranges(ensure_2d(field, "field"), window, model=model, config=config)
 
 
 def std_local_variogram_range(

@@ -8,9 +8,9 @@ implements that extension:
   axes (row / column direction) of a 2D field, exposing anisotropy that
   the isotropic estimate averages away;
 * :func:`empirical_variogram_3d` — the isotropic Matheron estimator on a
-  full 3D volume, using the same FFT pair-enumeration trick as the 2D
-  estimator (three correlation volumes, offsets binned by Euclidean
-  length);
+  full 3D volume: the same dimension-general FFT estimator as the 2D
+  fields (:func:`repro.stats.variogram.variogram_fft_batch`), offsets
+  binned by Euclidean length;
 * :func:`estimate_variogram_range_3d` — fitted squared-exponential range
   of a 3D volume, the volumetric analogue of the statistic on the x-axis
   of Figures 3 and 4;
@@ -21,14 +21,20 @@ implements that extension:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
 
-from repro.stats.variogram import EmpiricalVariogram, VariogramConfig
+from repro.stats.local import LocalVariogramResult, windowed_variogram_ranges
+from repro.stats.variogram import (
+    EmpiricalVariogram,
+    VariogramConfig,
+    _variogram_fft,
+    ensure_finite_field,
+)
 from repro.stats.variogram_models import fit_variogram
-from repro.utils.validation import ensure_2d, ensure_float_array, ensure_positive
+from repro.utils.validation import ensure_2d, ensure_float_array, ensure_ndim
 
 __all__ = [
     "directional_variogram",
@@ -95,60 +101,20 @@ def anisotropy_ratio(field: np.ndarray, max_lag: Optional[int] = None) -> float:
 def empirical_variogram_3d(
     volume: np.ndarray, config: VariogramConfig | None = None
 ) -> EmpiricalVariogram:
-    """Isotropic semi-variogram of a 3D volume (exact FFT pair enumeration)."""
+    """Isotropic semi-variogram of a 3D volume (exact FFT pair enumeration).
 
-    volume = np.asarray(volume, dtype=np.float64)
-    if volume.ndim != 3:
-        raise ValueError(f"volume must be 3D, got shape {volume.shape}")
+    The default ``max_lag`` is half the smallest extent.  Raises
+    ``ValueError`` for a volume with NaN or infinite values.
+    """
+
+    volume = ensure_ndim(volume, (3,), "volume")
     if min(volume.shape) < 2:
         raise ValueError("volume must be at least 2 points along every axis")
+    ensure_finite_field(volume, "volume")
     config = config or VariogramConfig()
-    max_lag = config.max_lag if config.max_lag is not None else min(volume.shape) / 2.0
-    ensure_positive(max_lag, "max_lag")
-
-    field_variance = float(volume.var())
-    centered = volume - volume.mean()
-    ones = np.ones_like(centered)
-    sq = centered * centered
-    flip = centered[::-1, ::-1, ::-1]
-    flip_sq = sq[::-1, ::-1, ::-1]
-    flip_ones = ones[::-1, ::-1, ::-1]
-
-    corr_zz = fftconvolve(centered, flip, mode="full")
-    corr_sq_one = fftconvolve(sq, flip_ones, mode="full")
-    corr_one_sq = fftconvolve(ones, flip_sq, mode="full")
-    pair_count = np.rint(fftconvolve(ones, flip_ones, mode="full"))
-    sq_diff = np.clip(corr_sq_one + corr_one_sq - 2.0 * corr_zz, 0.0, None)
-
-    nz, ny, nx = volume.shape
-    di = np.arange(-(nz - 1), nz)[:, None, None].astype(np.float64)
-    dj = np.arange(-(ny - 1), ny)[None, :, None].astype(np.float64)
-    dk = np.arange(-(nx - 1), nx)[None, None, :].astype(np.float64)
-    dist = np.sqrt(di**2 + dj**2 + dk**2)
-    half_space = (di > 0) | ((di == 0) & (dj > 0)) | ((di == 0) & (dj == 0) & (dk > 0))
-    mask = half_space & (dist > 0) & (dist <= max_lag) & (pair_count > 0)
-
-    distances = dist[mask]
-    sums = sq_diff[mask]
-    counts = pair_count[mask]
-
-    n_bins = int(np.ceil(max_lag / config.bin_width))
-    bin_index = np.minimum((distances / config.bin_width).astype(np.int64), n_bins - 1)
-    bin_sums = np.bincount(bin_index, weights=sums, minlength=n_bins)
-    bin_counts = np.bincount(bin_index, weights=counts, minlength=n_bins)
-    bin_dist = np.bincount(bin_index, weights=distances * counts, minlength=n_bins)
-
-    valid = bin_counts >= config.min_pairs_per_bin
-    gamma = np.zeros(n_bins)
-    gamma[valid] = bin_sums[valid] / (2.0 * bin_counts[valid])
-    lag_centres = np.zeros(n_bins)
-    lag_centres[valid] = bin_dist[valid] / bin_counts[valid]
-    return EmpiricalVariogram(
-        lags=lag_centres[valid],
-        values=gamma[valid],
-        pair_counts=bin_counts[valid].astype(np.int64),
-        field_variance=field_variance,
-    )
+    if config.max_lag is None:
+        config = replace(config, max_lag=min(volume.shape) / 2.0)
+    return _variogram_fft(volume, config)
 
 
 def estimate_variogram_range_3d(
@@ -169,51 +135,22 @@ def local_variogram_ranges_3d(
     *,
     model: str = "gaussian",
     config: Optional[VariogramConfig] = None,
-):
+) -> LocalVariogramResult:
     """Variogram range inside every complete ``window^3`` cube of a volume.
 
     The volumetric analogue of :func:`repro.stats.local.local_variogram_ranges`
-    (the paper's Fig. 7 windowed analysis, H = 32): the volume is tiled
-    into non-overlapping complete ``window^3`` cubes and the 3D variogram
-    range is fitted inside each.  Degenerate (numerically constant) or
-    unfittable windows yield NaN and are excluded from the summary
-    statistics.  Returns a
-    :class:`repro.stats.local.LocalVariogramResult` whose ``ranges``
-    array is 3D (one entry per window-grid cell).
+    (the paper's Fig. 7 windowed analysis, H = 32), sharing its N-d path:
+    the volume is tiled into non-overlapping complete ``window^3`` cubes and
+    the 3D variogram range is fitted inside each.  Degenerate (numerically
+    constant or non-finite) windows yield NaN and are excluded from the
+    summary statistics.  The result's ``ranges`` array is 3D (one entry per
+    window-grid cell).
     """
 
-    from repro.stats.local import LocalVariogramResult
-    from repro.utils.blocking import window_starts
-
-    volume = np.asarray(volume, dtype=np.float64)
-    if volume.ndim != 3:
-        raise ValueError(f"volume must be 3D, got shape {volume.shape}")
-    ensure_positive(window, "window")
-    grid = tuple(length // window for length in volume.shape)
-    if min(grid) == 0:
-        raise ValueError(
-            f"volume shape {volume.shape} has no complete {window}^3 windows"
-        )
-    if config is None:
-        # Same convention as the 2D local statistic: half-window max lag
-        # keeps enough pairs per bin for a stable fit in small windows.
-        config = VariogramConfig(max_lag=window / 2.0, bin_width=1.0)
-
-    starts = [window_starts(length, window) for length in volume.shape]
-    ranges = np.full(grid, np.nan)
-    for wi, i in enumerate(starts[0]):
-        for wj, j in enumerate(starts[1]):
-            for wk, k in enumerate(starts[2]):
-                cube = volume[i : i + window, j : j + window, k : k + window]
-                if float(cube.std()) < 1e-15:
-                    continue
-                try:
-                    ranges[wi, wj, wk] = estimate_variogram_range_3d(
-                        cube, model=model, config=config
-                    )
-                except (ValueError, RuntimeError):
-                    continue
-    return LocalVariogramResult(window=window, ranges=ranges)
+    volume = ensure_ndim(volume, (3,), "volume")
+    if config is not None and config.max_lag is None:
+        config = replace(config, max_lag=window / 2.0)
+    return windowed_variogram_ranges(volume, window, model=model, config=config)
 
 
 def std_local_variogram_range_3d(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,20 @@ class TestLocalVariogramRanges:
         assert result.n_failed == 4
         assert np.isnan(result.std)
         assert np.isnan(result.mean)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_window_is_nan_without_warnings(self, bad):
+        field = generate_gaussian_field((64, 64), 4.0, seed=5)
+        clean = local_variogram_ranges(field, window=32).ranges
+        field[40, 3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = local_variogram_ranges(field, window=32)
+        assert np.isnan(result.ranges[1, 0])
+        assert result.n_failed == 1
+        mask = np.ones((2, 2), dtype=bool)
+        mask[1, 0] = False
+        np.testing.assert_array_equal(result.ranges[mask], clean[mask])
 
     def test_field_without_complete_windows_rejected(self):
         with pytest.raises(ValueError):

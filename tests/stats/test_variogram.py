@@ -7,7 +7,13 @@ import pytest
 
 from repro.datasets.covariance import SquaredExponentialCovariance
 from repro.datasets.gaussian import generate_gaussian_field
-from repro.stats.variogram import EmpiricalVariogram, VariogramConfig, empirical_variogram
+from repro.stats.variogram import (
+    EmpiricalVariogram,
+    VariogramConfig,
+    _variogram_fft,
+    empirical_variogram,
+    variogram_fft_batch,
+)
 
 
 class TestConfig:
@@ -144,3 +150,89 @@ class TestPairSamplingEstimator:
         config = VariogramConfig(method="pairs", n_pairs=1000)
         result = empirical_variogram(rough_field, config, seed=0)
         assert result.pair_counts.sum() <= 1000
+
+
+def brute_force_variogram(field, max_lag, bin_width=1.0):
+    """Matheron's estimator over every point pair, by a double loop.
+
+    Returns per-bin sums of squared differences, pair counts and summed
+    pair distances for the ``ceil(max_lag / bin_width)`` bins.
+    """
+
+    coords = list(np.ndindex(field.shape))
+    n_bins = int(np.ceil(max_lag / bin_width))
+    sums, counts, dists = np.zeros(n_bins), np.zeros(n_bins, dtype=np.int64), np.zeros(n_bins)
+    for a, pa in enumerate(coords):
+        for pb in coords[a + 1 :]:
+            dist = np.sqrt(sum((x - y) ** 2 for x, y in zip(pa, pb)))
+            if dist <= max_lag:
+                index = min(int(dist / bin_width), n_bins - 1)
+                sums[index] += (field[pa] - field[pb]) ** 2
+                counts[index] += 1
+                dists[index] += dist
+    return sums, counts, dists
+
+
+class TestBatchedEstimator:
+    """The batched N-d FFT estimator against the brute-force definition."""
+
+    @pytest.mark.parametrize("shape", [(7, 9), (5, 6, 7)])
+    @pytest.mark.parametrize(
+        "max_lag,bin_width", [(3.0, 1.0), (2.5, 0.5), (20.0, 1.0), (20.0, 3.0)]
+    )
+    def test_matches_brute_force_matheron(self, shape, max_lag, bin_width):
+        field = np.random.default_rng(len(shape)).normal(size=shape)
+        sums, counts, dists = brute_force_variogram(field, max_lag, bin_width)
+        keep = counts > 0
+        geometry, values, variances = variogram_fft_batch(
+            field[None], max_lag, VariogramConfig(max_lag=max_lag, bin_width=bin_width)
+        )
+        np.testing.assert_array_equal(geometry.pair_counts, counts[keep])
+        # Lag centres are the same sums of pair distances, added per offset
+        # rather than per pair: equal up to the rounding of the long sums.
+        np.testing.assert_allclose(geometry.lags, dists[keep] / counts[keep], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(values[0], sums[keep] / (2.0 * counts[keep]), rtol=1e-12)
+        assert variances[0] == pytest.approx(field.var(), rel=1e-14)
+
+    def test_batch_equals_single_calls(self):
+        rng = np.random.default_rng(8)
+        stack = rng.normal(size=(5, 12, 10)).cumsum(axis=1)
+        config = VariogramConfig(max_lag=6.0)
+        geometry, values, variances = variogram_fft_batch(stack, 6.0, config)
+        for index, field in enumerate(stack):
+            single = _variogram_fft(field, config)
+            np.testing.assert_allclose(values[index], single.values, rtol=1e-14, atol=0)
+            np.testing.assert_array_equal(geometry.lags, single.lags)
+            np.testing.assert_array_equal(geometry.pair_counts, single.pair_counts)
+            assert variances[index] == pytest.approx(single.field_variance, rel=1e-14)
+
+    @pytest.mark.parametrize("min_pairs", [3, 15, 100])
+    def test_min_pairs_per_bin_drops_sparse_bins(self, min_pairs):
+        field = np.random.default_rng(9).normal(size=(7, 9))
+        sums, counts, _ = brute_force_variogram(field, 12.0)
+        keep = counts >= min_pairs
+        config = VariogramConfig(max_lag=12.0, min_pairs_per_bin=min_pairs)
+        result = empirical_variogram(field, config)
+        assert 0 < keep.sum() < (counts > 0).sum()
+        np.testing.assert_array_equal(result.pair_counts, counts[keep])
+        np.testing.assert_allclose(result.values, sums[keep] / (2.0 * counts[keep]), rtol=1e-12)
+
+    def test_cached_geometry_is_read_only_and_results_are_copies(self):
+        field = np.random.default_rng(10).normal(size=(16, 16))
+        first = empirical_variogram(field)
+        first.lags[0] = -1.0
+        second = empirical_variogram(field)
+        assert second.lags[0] > 0
+        geometry, _, _ = variogram_fft_batch(field[None], 8.0, VariogramConfig())
+        with pytest.raises(ValueError):
+            geometry.lags[0] = 0.0
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("method", ["fft", "pairs"])
+    def test_rejected_with_a_clear_error(self, bad, method):
+        field = np.random.default_rng(11).normal(size=(16, 16))
+        field[3, 4] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            empirical_variogram(field, VariogramConfig(method=method))

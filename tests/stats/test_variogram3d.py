@@ -100,6 +100,20 @@ class TestVariogram3D:
         with pytest.raises(ValueError):
             empirical_variogram_3d(np.zeros((8, 8)))
 
+    def test_non_finite_volume_rejected(self):
+        volume = np.random.default_rng(14).normal(size=(8, 8, 8))
+        volume[1, 2, 3] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            estimate_variogram_range_3d(volume)
+
+    def test_default_max_lag_is_half_min_extent(self):
+        volume = np.random.default_rng(15).normal(size=(5, 9, 9))
+        result = empirical_variogram_3d(volume)
+        # 2.5, not 2: the last bin covers lags [2, 2.5] (with max_lag 2 it
+        # would cover [1, 2]).
+        assert result.n_bins == 2
+        assert 2.0 < result.lags[-1] <= 2.5
+
     def test_smoother_volume_has_larger_fitted_range(self):
         smooth = generate_miranda_like_volume((12, 48, 48), seed=7)
         rough = np.random.default_rng(8).normal(size=(12, 48, 48))
@@ -132,6 +146,21 @@ class TestLocalVariogram3D:
         assert std_local_variogram_range_3d(volume, window=8) == pytest.approx(
             result.std, nan_ok=True
         )
+
+    def test_matches_per_window_estimates(self):
+        volume = generate_miranda_like_volume((16, 16, 8), seed=16)
+        result = local_variogram_ranges_3d(volume, window=8)
+        for (i, j, k), value in np.ndenumerate(result.ranges):
+            cube = volume[8 * i : 8 * i + 8, 8 * j : 8 * j + 8, 8 * k : 8 * k + 8]
+            expected = estimate_variogram_range_3d(cube, config=VariogramConfig(max_lag=4.0))
+            assert value == pytest.approx(expected, rel=1e-9)
+
+    def test_non_finite_window_yields_nan(self):
+        volume = generate_miranda_like_volume((16, 16, 16), seed=17)
+        volume[9, 1, 1] = np.nan
+        result = local_variogram_ranges_3d(volume, window=8)
+        assert np.isnan(result.ranges[1, 0, 0])
+        assert result.n_failed == 1
 
     def test_constant_windows_yield_nan(self):
         volume = np.zeros((16, 16, 16))

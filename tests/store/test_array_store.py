@@ -301,6 +301,14 @@ class TestPolicies:
         reopened = ArrayStore.open(tmp_path / "s")
         assert np.isnan(reopened.chunk_records()[0].stats["variogram_range"])
 
+    def test_chunk_statistics_of_non_finite_chunk_is_nan(self):
+        from repro.store.array_store import _chunk_statistics
+
+        for shape in ((16, 16), (8, 8, 8)):
+            chunk = np.random.default_rng(3).normal(size=shape)
+            chunk[(1,) * len(shape)] = np.nan
+            assert np.isnan(_chunk_statistics(chunk)["variogram_range"])
+
 
 class TestErrorPaths:
     def test_create_refuses_nonempty_dir(self, tmp_path):
