@@ -4,10 +4,11 @@
 whatever is submitted must pickle: lambdas and closures fail outright
 (or, with fork tricks, silently copy the enclosing frame per task).  The
 repo's worker protocol is therefore *module-level functions over
-self-contained task tuples* (``_compress_tile`` / ``_compress_chunk``),
-and halo workers return the documented payload tuple — payload plus
-faces plus context — never a bare ndarray whose meaning the scheduler
-has to guess.
+self-contained task tuples* (the volume pipeline's ``_encode_tile`` /
+``_decode_tile``, the store's ``_compress_chunk`` /
+``_decode_chunk_task``), and workers return the documented payload tuple
+— e.g. payload plus faces plus context — never a bare ndarray whose
+meaning the scheduler has to guess.
 
 Since the zero-copy refactor, bulk arrays cross the boundary as
 *descriptors*: a :class:`~repro.utils.parallel.SharedArraySpec` names a

@@ -25,6 +25,8 @@ instrumented with:
   ``CLOCK_MONOTONIC``) the worker timestamps are kept as measured; when
   the clocks are visibly unrelated the whole capture is rebased onto
   the submit time, so the tree stays well-formed everywhere.
+  :func:`traced_map` does both around a pool map, for process, thread
+  and serial pools alike.
 * **Chrome trace-event export** (:meth:`Tracer.to_chrome_events` /
   :meth:`Tracer.write_chrome_trace`): ``ph: "X"`` complete events with
   microsecond timestamps, one synthetic thread lane per worker capture,
@@ -53,6 +55,7 @@ __all__ = [
     "request_tracer",
     "use_request_tracer",
     "worker_capture",
+    "traced_map",
 ]
 
 #: Version tag leading every exported span tuple; bump on layout change.
@@ -509,3 +512,43 @@ class worker_capture:
         if self._install is not None:
             self._install.__exit__(*exc_info)
         return False
+
+
+def _captured_call(func: Callable, item):
+    """Run ``func(item)`` with its spans captured into a fresh tracer.
+
+    The capture is bound to the current context (as the request tracer
+    is), not installed process-wide like :class:`worker_capture`, so
+    concurrent thread-pool tasks each record into their own capture and
+    never swap the caller's tracer.  Top-level so
+    ``functools.partial(_captured_call, func)`` pickles for process
+    pools; returns ``(result, span_tuples)``.
+    """
+
+    tracer = Tracer("worker")
+    with use_request_tracer(tracer):
+        result = func(item)
+    return result, tracer.export_tuples()
+
+
+def traced_map(pool, func: Callable, items: Iterable, lane: str) -> List:
+    """``pool.map(func, items)`` whose worker spans survive the pool.
+
+    With no tracer installed this is exactly ``pool.map(func, items)``.
+    Otherwise every task runs under :func:`_captured_call`, and each
+    task's capture is adopted under the caller's current span on display
+    lane ``f"{lane}{index}"`` — so callers (and any memo cache behind
+    them) only ever see the bare results.  ``pool`` is anything with a
+    ``map(func, items)`` method (a :class:`repro.utils.parallel.WorkerPool`).
+    """
+
+    tracer = active_tracer()
+    if tracer is None:
+        return pool.map(func, items)
+    submit = time.perf_counter()
+    payloads = pool.map(functools.partial(_captured_call, func), items)
+    results = []
+    for index, (result, tuples) in enumerate(payloads):
+        tracer.adopt(tuples, lane=f"{lane}{index}", submit_time=submit)
+        results.append(result)
+    return results

@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.compressors.base import CompressedField
 from repro.compressors.halo import TileHalo
-from repro.obs.trace import span as obs_span
+from repro.obs.trace import span as obs_span, traced_map
 from repro.pressio.api import PressioCompressor
 from repro.pressio.options import CompressorOptions
 from repro.utils.parallel import (
@@ -209,64 +209,94 @@ def load_store_state(
     )
 
 
-def _decode_chunk_shm(task):
-    """Zero-copy chunk-decode worker (top-level, picklable).
+def _step_back(grid_index: Tuple[int, ...], axis: int) -> Tuple[int, ...]:
+    """The grid neighbour one chunk lower along ``axis``."""
 
-    The submitting side ships the (compressed, CRC-checked) payload bytes
-    plus a :class:`~repro.utils.parallel.SharedArraySpec` of a shared
-    scratch array holding one slot per needed chunk; the worker decodes
-    into its slot in place.  Halo chunks read their anchor neighbours'
-    high faces straight out of the scratch array — wave 1 runs strictly
-    after wave 0, so every referenced slot is complete.  The documented
-    return payload is ``(slot, entropy_context_or_None)``.
+    return tuple(g - 1 if a == axis else g for a, g in enumerate(grid_index))
+
+
+def _decode_payload(
+    payload: bytes,
+    codec_name: str,
+    extent: Tuple[int, ...],
+    error_bound: float,
+    dtype: np.dtype,
+    options: Dict,
+    halo: Optional[TileHalo] = None,
+    want_context: bool = False,
+):
+    """Decode one CRC-checked chunk payload.
+
+    The one payload decoder of both readers — the serial reader runs it
+    in-process, the parallel reader's worker in the pool — so both make
+    the same raw-length and decoded-shape checks.  Returns ``(values,
+    entropy_context_or_None)``.
+    """
+
+    with obs_span("store.decode_chunk", "store", codec=codec_name, nbytes=len(payload)):
+        if codec_name == RAW_CODEC:
+            expected = int(np.prod(extent)) * 8
+            if len(payload) != expected:
+                raise StoreCorruptionError(
+                    f"raw chunk payload of {len(payload)} bytes, expected {expected}"
+                )
+            values = np.frombuffer(payload, dtype="<f8").reshape(extent)
+            return np.asarray(values, dtype=dtype), None
+        codec = PressioCompressor(
+            codec_name, CompressorOptions(error_bound=error_bound, extra=dict(options))
+        )
+        compressed = CompressedField(
+            data=payload,
+            original_shape=extent,
+            original_dtype=dtype,
+            compressor=codec_name,
+            error_bound=error_bound,
+        )
+        if want_context:
+            values, context = codec.decompress_with_context(compressed, halo=halo)
+        else:
+            values, context = codec.decompress(compressed, halo=halo), None
+        if tuple(values.shape) != tuple(extent):
+            raise StoreCorruptionError(
+                f"chunk decoded to shape {values.shape}, expected {extent}"
+            )
+        return np.asarray(values, dtype=dtype), context
+
+
+def _decode_chunk_task(task):
+    """The parallel reader's worker (top-level, picklable).
+
+    Decodes one payload into its ``slot`` of the shared scratch array
+    (a :class:`~repro.utils.parallel.SharedArraySpec`).  Halo chunks read
+    their anchor neighbours' high faces (``planes``, scratch regions)
+    straight out of it — the anchor level completes first.  The
+    documented return payload is ``(slot, entropy_context_or_None)``.
     """
 
     (
         payload,
         codec_name,
-        chunk_extent,
+        extent,
         error_bound,
-        dtype_str,
+        dtype,
         options,
-        scratch_spec,
+        scratch,
         slot,
-        plane_specs,
+        planes,
         context,
         want_context,
     ) = task
-    dtype = np.dtype(dtype_str)
-    slot_region = (slot,) + tuple(slice(0, e) for e in chunk_extent)
-    if codec_name == RAW_CODEC:
-        values = np.frombuffer(payload, dtype="<f8").reshape(chunk_extent)
-        write_shared(scratch_spec, slot_region, np.asarray(values, dtype=dtype))
-        return slot, None
     halo = None
-    if plane_specs is not None:
-        planes = [
-            read_shared(scratch_spec, spec) if spec is not None else None
-            for spec in plane_specs
-        ]
-        halo = TileHalo.build(planes, context)
-    codec = PressioCompressor(
-        codec_name,
-        CompressorOptions(error_bound=error_bound, extra=dict(options)),
-    )
-    compressed = CompressedField(
-        data=payload,
-        original_shape=chunk_extent,
-        original_dtype=dtype,
-        compressor=codec_name,
-        error_bound=error_bound,
-    )
-    if want_context:
-        values, own_context = codec.decompress_with_context(compressed, halo=halo)
-    else:
-        values, own_context = codec.decompress(compressed, halo=halo), None
-    if tuple(values.shape) != tuple(chunk_extent):
-        raise StoreCorruptionError(
-            f"chunk decoded to shape {values.shape}, expected {chunk_extent}"
+    if planes is not None:
+        halo = TileHalo.build(
+            [None if plane is None else read_shared(scratch, plane) for plane in planes],
+            context,
         )
-    write_shared(scratch_spec, slot_region, np.asarray(values, dtype=dtype))
+    values, own_context = _decode_payload(
+        payload, codec_name, extent, error_bound, np.dtype(dtype), options, halo,
+        want_context,
+    )
+    write_shared(scratch, (slot,) + tuple(slice(0, e) for e in extent), values)
     return slot, own_context
 
 
@@ -470,10 +500,36 @@ class StoreSnapshot:
         for axis in sorted(axes):
             if grid_index[axis] == 0:
                 continue
-            deps.append(
-                tuple(g - 1 if a == axis else g for a, g in enumerate(grid_index))
-            )
+            deps.append(_step_back(grid_index, axis))
         return deps
+
+    def _plane_sources(
+        self, grid_index: Tuple[int, ...], axes_mask: int
+    ) -> List[Tuple[int, Tuple[int, ...]]]:
+        """``(axis, anchor)`` for every plane a halo chunk decodes against.
+
+        The one halo-reference check of both readers: a referenced
+        neighbour must lie inside the grid and be an anchor (a chunk that
+        decodes standalone); anything else is a corrupt index.
+        """
+
+        sources = []
+        for axis in range(len(grid_index)):
+            if not axes_mask & (1 << axis):
+                continue
+            if grid_index[axis] == 0:
+                raise StoreCorruptionError(
+                    f"halo chunk at grid {grid_index} references a "
+                    f"neighbour beyond the array edge (axis {axis})"
+                )
+            neighbour = _step_back(grid_index, axis)
+            if self._index[self.linear_index(neighbour)].flags:
+                raise StoreCorruptionError(
+                    f"halo chunk at grid {grid_index} references the "
+                    f"non-anchor chunk at grid {neighbour}"
+                )
+            sources.append((axis, neighbour))
+        return sources
 
     # -- read ------------------------------------------------------------
     def read(
@@ -552,26 +608,7 @@ class StoreSnapshot:
             halo = None
             if is_halo:
                 planes: List[Optional[np.ndarray]] = [None] * len(shape)
-                for axis in range(len(shape)):
-                    if not axes_mask & (1 << axis):
-                        continue
-                    if grid_index[axis] == 0:
-                        raise StoreCorruptionError(
-                            f"halo chunk at grid {grid_index} references a "
-                            f"neighbour beyond the array edge (axis {axis})"
-                        )
-                    neighbour = tuple(
-                        g - 1 if a == axis else g
-                        for a, g in enumerate(grid_index)
-                    )
-                    n_linear = sum(
-                        i * s for i, s in zip(neighbour, grid_strides)
-                    )
-                    if self._index[n_linear].flags:
-                        raise StoreCorruptionError(
-                            f"halo chunk at grid {grid_index} references the "
-                            f"non-anchor chunk at grid {neighbour}"
-                        )
+                for axis, neighbour in self._plane_sources(grid_index, axes_mask):
                     n_values = decode_at(
                         handle, neighbour, want_context=(axis == ref_axis)
                     )
@@ -580,10 +617,7 @@ class StoreSnapshot:
                     )
                 context = None
                 if ref_axis is not None:
-                    neighbour = tuple(
-                        g - 1 if a == ref_axis else g
-                        for a, g in enumerate(grid_index)
-                    )
+                    neighbour = _step_back(grid_index, ref_axis)
                     n_linear = sum(
                         i * s for i, s in zip(neighbour, grid_strides)
                     )
@@ -698,7 +732,6 @@ class StoreSnapshot:
         """
 
         bounds, drop_axes = self.normalize_region(region)
-        shape = self.shape
         chunk_shape = self.chunk_shape
         grid_indices = self.intersecting_chunks(bounds)
 
@@ -707,6 +740,9 @@ class StoreSnapshot:
         slot_of: Dict[Tuple[int, ...], int] = {}
         payload_slot: Dict[tuple, int] = {}
         slot_grids: List[Tuple[int, ...]] = []
+        # Two levels: anchors (flags == 0) depend on nothing, halo chunks
+        # only on anchors.
+        levels: Tuple[List, List] = ([], [])
         ordered: List[Tuple[int, ...]] = []
         seen = set()
         for grid_index in grid_indices:
@@ -726,35 +762,9 @@ class StoreSnapshot:
                 payload_slot[key] = len(slot_grids)
             slot_of[grid_index] = len(slot_grids)
             slot_grids.append(grid_index)
+            levels[is_halo].append(grid_index)
 
         options_of = self._meta.get("compressor_options", {})
-        dtype_str = str(self.dtype)
-
-        def build_task(grid_index, payload, scratch_spec, plane_specs, context,
-                       want_context):
-            record = self._index[self.linear_index(grid_index)]
-            _, extent = self.chunk_box(grid_index)
-            return (
-                payload,
-                record.codec,
-                extent,
-                self.error_bound,
-                dtype_str,
-                dict(options_of.get(record.codec, {})),
-                scratch_spec,
-                slot_of[grid_index],
-                plane_specs,
-                context,
-                want_context,
-            )
-
-        wave0 = []
-        wave1 = []
-        for grid_index in slot_grids:
-            record = self._index[self.linear_index(grid_index)]
-            is_halo, _, _ = parse_halo_flags(record.flags)
-            (wave1 if is_halo else wave0).append(grid_index)
-
         out = np.empty(
             tuple(stop - start for start, stop in bounds), dtype=self.dtype
         )
@@ -767,69 +777,55 @@ class StoreSnapshot:
                 "store.read.parallel",
                 "store",
                 chunks=len(slot_grids),
-                anchors=len(wave0),
-                halo=len(wave1),
+                anchors=len(levels[0]),
+                halo=len(levels[1]),
             ):
-                tasks = []
-                for grid_index in wave0:
-                    record = self._index[self.linear_index(grid_index)]
-                    payload = self._read_payload(handle, record)
-                    # Anchors double as entropy-context references in a
-                    # halo store; deriving the context in the same decode
-                    # avoids a second pass (the serial path's heuristic).
-                    tasks.append(
-                        build_task(
-                            grid_index, payload, scratch_spec, None, None,
-                            self.halo,
-                        )
-                    )
-                with obs_span("store.decode_wave", "store", wave=0, chunks=len(tasks)):
-                    for slot, context in pool.map(_decode_chunk_shm, tasks):
-                        contexts[slot] = context
-
-                tasks = []
-                for grid_index in wave1:
-                    record = self._index[self.linear_index(grid_index)]
-                    _, axes_mask, ref_axis = parse_halo_flags(record.flags)
-                    plane_specs: List[Optional[tuple]] = [None] * len(shape)
-                    for axis in range(len(shape)):
-                        if not axes_mask & (1 << axis):
-                            continue
-                        if grid_index[axis] == 0:
-                            raise StoreCorruptionError(
-                                f"halo chunk at grid {grid_index} references a "
-                                f"neighbour beyond the array edge (axis {axis})"
+                for wave, level in enumerate(levels):
+                    tasks = []
+                    for grid_index in level:
+                        record = self._index[self.linear_index(grid_index)]
+                        _, extent = self.chunk_box(grid_index)
+                        planes = context = None
+                        if wave:
+                            _, axes_mask, ref_axis = parse_halo_flags(record.flags)
+                            planes = [None] * len(extent)
+                            for axis, neighbour in self._plane_sources(
+                                grid_index, axes_mask
+                            ):
+                                _, n_extent = self.chunk_box(neighbour)
+                                planes[axis] = (slot_of[neighbour],) + tuple(
+                                    n - 1 if a == axis else slice(0, n)
+                                    for a, n in enumerate(n_extent)
+                                )
+                            if ref_axis is not None:
+                                reference = _step_back(grid_index, ref_axis)
+                                context = contexts.get(slot_of[reference])
+                        # Anchors double as entropy-context references in
+                        # a halo store; deriving the context in the same
+                        # decode avoids a second pass (as the serial path
+                        # does).
+                        tasks.append(
+                            (
+                                self._read_payload(handle, record),
+                                record.codec,
+                                extent,
+                                self.error_bound,
+                                str(self.dtype),
+                                dict(options_of.get(record.codec, {})),
+                                scratch_spec,
+                                slot_of[grid_index],
+                                planes,
+                                context,
+                                self.halo and not wave,
                             )
-                        neighbour = tuple(
-                            g - 1 if a == axis else g
-                            for a, g in enumerate(grid_index)
                         )
-                        if self._index[self.linear_index(neighbour)].flags:
-                            raise StoreCorruptionError(
-                                f"halo chunk at grid {grid_index} references "
-                                f"the non-anchor chunk at grid {neighbour}"
-                            )
-                        _, n_extent = self.chunk_box(neighbour)
-                        plane_specs[axis] = (slot_of[neighbour],) + tuple(
-                            n_extent[a] - 1 if a == axis else slice(0, n_extent[a])
-                            for a in range(len(shape))
-                        )
-                    context = None
-                    if ref_axis is not None:
-                        neighbour = tuple(
-                            g - 1 if a == ref_axis else g
-                            for a, g in enumerate(grid_index)
-                        )
-                        context = contexts.get(slot_of[neighbour])
-                    payload = self._read_payload(handle, record)
-                    tasks.append(
-                        build_task(
-                            grid_index, payload, scratch_spec, plane_specs,
-                            context, False,
-                        )
-                    )
-                with obs_span("store.decode_wave", "store", wave=1, chunks=len(tasks)):
-                    pool.map(_decode_chunk_shm, tasks)
+                    with obs_span(
+                        "store.decode_wave", "store", wave=wave, chunks=len(tasks)
+                    ):
+                        for slot, own_context in traced_map(
+                            pool, _decode_chunk_task, tasks, f"wave{wave}.chunk"
+                        ):
+                            contexts[slot] = own_context
 
             for grid_index in grid_indices:
                 chunk_offset, chunk_extent = self.chunk_box(grid_index)
@@ -885,53 +881,19 @@ class StoreSnapshot:
         halo: Optional[TileHalo] = None,
         want_context: bool = False,
     ):
-        """Decode one payload; returns ``(values, entropy_context_or_None)``."""
+        """Read and decode one payload; ``(values, entropy_context_or_None)``."""
 
-        with obs_span(
-            "store.decode_chunk", "store", codec=record.codec, nbytes=record.length
-        ):
-            return self._decode_chunk_inner(
-                handle, record, chunk_extent, halo, want_context
-            )
-
-    def _decode_chunk_inner(
-        self,
-        handle,
-        record: IndexRecord,
-        chunk_extent: Tuple[int, ...],
-        halo: Optional[TileHalo],
-        want_context: bool,
-    ):
-        payload = self._read_payload(handle, record)
-        if record.codec == RAW_CODEC:
-            expected = int(np.prod(chunk_extent)) * 8
-            if len(payload) != expected:
-                raise StoreCorruptionError(
-                    f"raw chunk payload of {len(payload)} bytes, expected {expected}"
-                )
-            values = np.frombuffer(payload, dtype="<f8").reshape(chunk_extent)
-            return np.asarray(values, dtype=self.dtype), None
         options = self._meta.get("compressor_options", {}).get(record.codec, {})
-        codec = PressioCompressor(
+        return _decode_payload(
+            self._read_payload(handle, record),
             record.codec,
-            CompressorOptions(error_bound=self.error_bound, extra=dict(options)),
+            chunk_extent,
+            self.error_bound,
+            self.dtype,
+            options,
+            halo,
+            want_context,
         )
-        compressed = CompressedField(
-            data=payload,
-            original_shape=chunk_extent,
-            original_dtype=self.dtype,
-            compressor=record.codec,
-            error_bound=self.error_bound,
-        )
-        if want_context:
-            values, context = codec.decompress_with_context(compressed, halo=halo)
-        else:
-            values, context = codec.decompress(compressed, halo=halo), None
-        if tuple(values.shape) != chunk_extent:
-            raise StoreCorruptionError(
-                f"chunk decoded to shape {values.shape}, expected {chunk_extent}"
-            )
-        return np.asarray(values, dtype=self.dtype), context
 
     # -- inspection ------------------------------------------------------
     def info(self) -> Dict:

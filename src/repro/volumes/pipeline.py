@@ -15,6 +15,10 @@ around them:
   :class:`repro.core.pipeline.ExperimentCache` (content-hash keyed, so
   repeated tiles such as quiescent far-field regions are compressed once);
 * :func:`decompress_volume` reassembles the tiles back into the volume;
+* both run on one wavefront scheduler per direction (``_compress_slabs`` /
+  ``_decode_slabs``), shared with :mod:`repro.volumes.streaming`: slabs
+  of whole tile rows, and within a slab barrier-synchronised levels of
+  tiles, serially or over a worker pool;
 * :func:`measure_volume_field` produces the same
   :class:`~repro.core.experiment.CompressionRecord` rows the 2D pipeline
   emits, with the 3D variogram range as the correlation statistic, which
@@ -27,26 +31,25 @@ around them:
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.compressors.base import CompressedField
+from repro.compressors.halo import TileHalo, reconstruction_faces
 from repro.compressors.registry import make_compressor
 from repro.core.pipeline import ExperimentCache, memoized_map
 from repro.obs.metrics import REGISTRY, publish_cache_counters
-from repro.obs.trace import (
-    active_tracer,
-    span as obs_span,
-    tracing_enabled,
-    worker_capture,
-)
+from repro.obs.trace import span as obs_span, traced_map
 from repro.pressio.metrics import CompressionMetrics, error_statistics
 from repro.utils.blocking import grid_offsets
 from repro.utils.parallel import (
     ParallelConfig,
     SharedArraySession,
+    SharedArraySpec,
     WorkerPool,
     read_shared,
     use_shared_arrays,
@@ -223,176 +226,368 @@ def shard_volume(
     return out
 
 
-def _compress_tile(task) -> CompressedField:
-    """Top-level worker so tile jobs pickle for process pools.
+class _ArraySlabSource:
+    """Slab reader over an in-memory (or memory-mapped) 3D array."""
 
-    The reconstruction by-product is dropped: it doubles the IPC payload
-    and the pipeline decompresses on demand anyway.
+    def __init__(self, volume: np.ndarray) -> None:
+        if volume.ndim != 3:
+            raise ValueError(f"streaming expects a 3D volume, got {volume.ndim}D")
+        self._volume = volume
+        self.shape = tuple(int(s) for s in volume.shape)
+        self.dtype = volume.dtype
+
+    def read(self, row_start: int, rows: int) -> np.ndarray:
+        return np.ascontiguousarray(self._volume[row_start : row_start + rows])
+
+
+# ---------------------------------------------------------------------------
+# The wavefront scheduler
+#
+# Both directions walk the volume in slabs of whole tile rows and, within a
+# slab, in barrier-synchronised levels: the anti-diagonals of the tile grid
+# for halo volumes (every tile's low-face neighbours sit in an earlier level
+# of this slab or in an earlier slab), one level of independent tiles
+# otherwise.  The one-shot calls are the single-slab case (slab = all rows),
+# the streaming calls use one tile row per slab; halo inputs are
+# schedule-independent, so both produce the same bytes.
+# ---------------------------------------------------------------------------
+
+
+def _tile_region(offset: Sequence[int], extent: Sequence[int], row_base: int = 0):
+    """Region of a tile at volume ``offset`` in a buffer starting at row ``row_base``."""
+
+    start = (offset[0] - row_base,) + tuple(offset[1:])
+    return tuple(slice(s, s + length) for s, length in zip(start, extent))
+
+
+def _tile_extent(offset, tile, shape) -> Tuple[int, int, int]:
+    return tuple(min(t, s - o) for t, s, o in zip(tile, shape, offset))
+
+
+def _waves(offsets, tile, halo: bool):
+    """One slab's tiles as ``[(wave, offsets)]`` levels, scan order within.
+
+    ``wave`` labels the level in traces: the tile-grid anti-diagonal
+    ``sum(offset // tile)`` for halo tiles, the slab's first grid row
+    otherwise.
     """
 
-    name, error_bound, options, tile = task
-    compressor = make_compressor(name, error_bound, **options)
-    return replace(compressor.compress(tile), reconstruction=None)
+    if not halo:
+        return [(offsets[0][0] // tile[0], list(offsets))]
+    levels: Dict[int, List[Tuple[int, int, int]]] = {}
+    for offset in offsets:
+        wave = sum(o // t for o, t in zip(offset, tile))
+        levels.setdefault(wave, []).append(offset)
+    return sorted(levels.items())
 
 
-def _compress_tile_halo(task):
-    """Halo-mode worker: returns the payload plus what neighbours need.
+def _halo_inputs(offset, tile, extent, row_base: int = 0):
+    """What the tile at ``offset`` borrows from its low-face neighbours.
 
-    Instead of the full reconstruction (2 MB per 64^3 tile of IPC), only
-    the three high-index faces — the planes the tile's high neighbours
-    will predict from — and the tile's entropy context travel back.
+    Returns ``(faces, reference)``.  ``faces[axis]`` is ``None`` on the
+    volume's low boundary, else ``(neighbour, plane)``: the offset of the
+    neighbour whose high face the tile predicts from, and that face's
+    region in a buffer starting at row ``row_base``.  ``reference`` is the
+    offset of the neighbour whose entropy context the tile borrows — the
+    one along the highest axis with a low neighbour (the most recently
+    coded in scan order) — or ``None`` for the origin tile.  Encoder and
+    decoder derive both from the offset, so neither is serialised.
     """
 
-    from repro.compressors.halo import reconstruction_faces
+    local = (offset[0] - row_base,) + tuple(offset[1:])
+    faces = []
+    for axis in range(3):
+        if offset[axis] == 0:
+            faces.append(None)
+            continue
+        neighbour = tuple(
+            o - t if a == axis else o for a, (o, t) in enumerate(zip(offset, tile))
+        )
+        plane = tuple(
+            local[a] - 1 if a == axis else slice(local[a], local[a] + extent[a])
+            for a in range(3)
+        )
+        faces.append((neighbour, plane))
+    reference = next((face[0] for face in reversed(faces) if face is not None), None)
+    return faces, reference
 
-    name, error_bound, options, tile, halo = task
-    compressor = make_compressor(name, error_bound, **options)
-    if getattr(compressor, "supports_halo", False):
-        compressed = compressor.compress(tile, halo=halo, collect_context=True)
-    else:
-        compressed = compressor.compress(tile)
-    faces = reconstruction_faces(compressed.reconstruction)
-    context = compressed.entropy_context
-    return replace(compressed, reconstruction=None, entropy_context=None), faces, context
 
+class _HaloChain:
+    """Halo state in flight: what finished tiles hand their dependants.
 
-def _compress_tile_shm(task) -> CompressedField:
-    """Zero-copy variant of :func:`_compress_tile`.
-
-    The task carries a :class:`~repro.utils.parallel.SharedArraySpec`
-    descriptor of the whole volume plus this tile's region; the worker
-    reads its tile straight out of the shared input segment, so the only
-    thing returned through the pickle channel is the compressed payload.
+    ``faces`` maps ``(offset, axis)`` to a finished tile's high face along
+    ``axis`` (compress side; the decoder reads planes from its output).
+    Each face has one reader and is popped by it; a context is dropped
+    after its last reader takes it, so the chain holds only what tiles
+    not yet dispatched still need.
     """
 
-    name, error_bound, options, spec, region = task
-    tile = read_shared(spec, region)
-    compressor = make_compressor(name, error_bound, **options)
-    return replace(compressor.compress(tile), reconstruction=None)
+    def __init__(self, shape, tile) -> None:
+        self.shape, self.tile = shape, tile
+        self.faces: Dict[Tuple[Tuple[int, int, int], int], np.ndarray] = {}
+        self._contexts: Dict[Tuple[int, int, int], list] = {}
+
+    def finish(self, offset, context, faces=None) -> None:
+        has_high = [o + t < s for o, t, s in zip(offset, self.tile, self.shape)]
+        for axis, plane in (faces or {}).items():
+            if has_high[axis]:
+                self.faces[(offset, axis)] = plane
+        # The high neighbour along ``axis`` borrows this context when it
+        # has no low neighbour on a higher axis, i.e. this tile sits on
+        # the low boundary of every axis above ``axis``.
+        readers = sum(
+            1 for axis in range(3) if has_high[axis] and not any(offset[axis + 1 :])
+        )
+        if readers:
+            self._contexts[offset] = [context, readers]
+
+    def context(self, reference):
+        if reference is None:
+            return None
+        entry = self._contexts[reference]
+        entry[1] -= 1
+        if not entry[1]:
+            del self._contexts[reference]
+        return entry[0]
 
 
-def _compress_tile_halo_shm(task):
-    """Zero-copy variant of :func:`_compress_tile_halo`.
+def _encode_tile(task):
+    """The compress worker (top-level, picklable).
 
-    Returns the same documented ``(compressed, faces, context)`` triple;
-    only the halo planes and entropy context (small) travel in, only the
-    payload, faces and context travel back.
+    ``source`` is the tile itself, or a
+    :class:`~repro.utils.parallel.SharedArraySpec` of the slab that the
+    tile's ``region`` is read from in place.  Returns the documented
+    ``(compressed, faces, context)`` triple without the reconstruction
+    (it would double the IPC payload): in halo mode ``faces`` holds the
+    three high faces its neighbours predict from and ``context`` the
+    tile's entropy context; both are ``None`` otherwise.
     """
 
-    from repro.compressors.halo import reconstruction_faces
-
-    name, error_bound, options, spec, region, halo = task
-    tile = read_shared(spec, region)
-    compressor = make_compressor(name, error_bound, **options)
-    if getattr(compressor, "supports_halo", False):
-        compressed = compressor.compress(tile, halo=halo, collect_context=True)
-    else:
-        compressed = compressor.compress(tile)
-    faces = reconstruction_faces(compressed.reconstruction)
-    context = compressed.entropy_context
-    return replace(compressed, reconstruction=None, entropy_context=None), faces, context
-
-
-def _task_tile_shape(task) -> str:
-    """Display shape of a compress task, for worker span attributes."""
-
-    payload = task[3]
-    if isinstance(payload, np.ndarray):
-        return repr(payload.shape)
-    region = task[4]
-    return repr(tuple(s.stop - s.start for s in region))
+    name, error_bound, options, halo_mode, halo, source, region = task
+    tile = read_shared(source, region) if isinstance(source, SharedArraySpec) else source
+    with obs_span("volume.tile", "volume", shape=repr(tile.shape)):
+        compressor = make_compressor(name, error_bound, **options)
+        if not halo_mode:
+            return replace(compressor.compress(tile), reconstruction=None), None, None
+        if getattr(compressor, "supports_halo", False):
+            compressed = compressor.compress(tile, halo=halo, collect_context=True)
+        else:
+            compressed = compressor.compress(tile)
+        faces = reconstruction_faces(compressed.reconstruction)
+    stripped = replace(compressed, reconstruction=None, entropy_context=None)
+    return stripped, faces, compressed.entropy_context
 
 
-def _compress_tile_traced(task):
-    """Traced variant of :func:`_compress_tile` (top-level, picklable).
+def _decode_tile(task):
+    """The decode worker (top-level, picklable).
 
-    Returns the documented ``(compressed, span_tuples)`` payload: the
-    worker records its own span capture — a fresh tracer installed for
-    the duration of the task, so the per-stage codec spans land in it —
-    and ships the capture back as picklable tuples for the submitting
-    side to adopt under its wave span.
+    ``target`` is the output slab: an in-process array (serial and
+    thread-pool runs) or a :class:`~repro.utils.parallel.SharedArraySpec`
+    of it (process workers).  ``planes`` (``None`` without halo) are the
+    regions of the low-face neighbours' planes in it — their levels are
+    complete — and the reconstruction is written to ``region``.  Returns
+    ``(shape, entropy_context)``.
     """
 
-    with worker_capture() as tracer:
-        with tracer.span("volume.tile", "volume", shape=_task_tile_shape(task)):
-            result = _compress_tile(task)
-    return result, tracer.export_tuples()
-
-
-def _compress_tile_halo_traced(task):
-    """Traced variant of :func:`_compress_tile_halo`.
-
-    Returns ``((compressed, faces, context), span_tuples)`` — the halo
-    worker's documented triple plus the worker-side span capture.
-    """
-
-    with worker_capture() as tracer:
-        with tracer.span("volume.tile", "volume", shape=_task_tile_shape(task)):
-            result = _compress_tile_halo(task)
-    return result, tracer.export_tuples()
-
-
-def _compress_tile_shm_traced(task):
-    """Traced variant of :func:`_compress_tile_shm`.
-
-    Same ``(compressed, span_tuples)`` contract as
-    :func:`_compress_tile_traced` — span adoption is independent of how
-    the tile bytes crossed the process boundary.
-    """
-
-    with worker_capture() as tracer:
-        with tracer.span("volume.tile", "volume", shape=_task_tile_shape(task)):
-            result = _compress_tile_shm(task)
-    return result, tracer.export_tuples()
-
-
-def _compress_tile_halo_shm_traced(task):
-    """Traced variant of :func:`_compress_tile_halo_shm`.
-
-    Returns ``((compressed, faces, context), span_tuples)``.
-    """
-
-    with worker_capture() as tracer:
-        with tracer.span("volume.tile", "volume", shape=_task_tile_shape(task)):
-            result = _compress_tile_halo_shm(task)
-    return result, tracer.export_tuples()
-
-
-def _run_traced_workers(worker, tasks, pool: WorkerPool, wave: int):
-    """Run traced tile workers and adopt their span captures.
-
-    Workers return ``(result, span_tuples)``; each capture is merged into
-    the active tracer as soon as the batch returns — re-parented under
-    the caller's current (wave) span, one display lane per tile — so the
-    caller, and the memo cache behind it, only ever see the bare results.
-    """
-
-    tracer = active_tracer()
-    submit = time.perf_counter()
-    payloads = pool.map(worker, tasks)
-    results = []
-    for index, (result, tuples) in enumerate(payloads):
-        if tracer is not None:
-            tracer.adopt(
-                tuples, lane=f"wave{wave}.tile{index}", submit_time=submit
+    name, error_bound, compressed, target, region, planes, context = task
+    shared = isinstance(target, SharedArraySpec)
+    codec = make_compressor(name, error_bound)
+    with obs_span("volume.tile.decode", "volume", shape=repr(compressed.original_shape)):
+        if planes is None or not getattr(codec, "supports_halo", False):
+            values, own_context = codec.decompress(compressed), None
+        else:
+            read = partial(read_shared, target) if shared else target.__getitem__
+            halo = TileHalo.build(
+                [None if plane is None else read(plane) for plane in planes], context
             )
-        results.append(result)
-    return results
+            values, own_context = codec.decompress_with_context(compressed, halo=halo)
+        if shared:
+            write_shared(target, region, values)
+        else:
+            target[region] = values
+    return tuple(values.shape), own_context
 
 
-def _reference_axis(offset: Tuple[int, ...]) -> Optional[int]:
-    """Deterministic choice of the context reference neighbour's axis.
+def _compress_slabs(
+    reader,
+    slab_rows: int,
+    compressor: str,
+    error_bound: float,
+    tile: Tuple[int, int, int],
+    compressor_options: Optional[Dict],
+    parallel: Optional[ParallelConfig],
+    cache: Union[ExperimentCache, bool, None],
+    halo: bool,
+) -> CompressedVolume:
+    """The compress scheduler: ``reader.read`` one slab at a time, in levels.
 
-    The highest axis with a low neighbour wins (the fastest-varying axis
-    — the most recently compressed neighbour in scan order); ``None`` for
-    the origin tile.  Encoder and decoder derive the same rule, so the
-    choice is never serialised.
+    Each slab is shared once when process workers with shared memory run
+    its tiles, and released before the next read, so at most one slab is
+    resident.  Every level is one :func:`memoized_map` batch; its counters
+    are summed into ``cache_counters``.
     """
 
-    for axis in range(len(offset) - 1, -1, -1):
-        if offset[axis] > 0:
-            return axis
-    return None
+    ensure_positive(error_bound, "error_bound")
+    options = dict(compressor_options or {})
+    if cache is None or cache is True:
+        cache = _VOLUME_CACHE
+    elif cache is False:
+        cache = None
+    config_key = f"{compressor}:{error_bound!r}:{sorted(options.items())!r}"
+    shape = tuple(reader.shape)
+    began = time.perf_counter()
+    chain = _HaloChain(shape, tile)
+    results: Dict[Tuple[int, int, int], CompressedField] = {}
+    counters: Counter = Counter()
+
+    def run_level(slab, spec, row_start, wave, offsets) -> None:
+        items = []
+        for offset in offsets:
+            extent = _tile_extent(offset, tile, shape)
+            tile_halo = None
+            if halo:
+                faces, reference = _halo_inputs(offset, tile, extent)
+                planes = [
+                    None if face is None else chain.faces.pop((face[0], axis), None)
+                    for axis, face in enumerate(faces)
+                ]
+                tile_halo = TileHalo.build(planes, chain.context(reference))
+            items.append((offset, _tile_region(offset, extent, row_start), tile_halo))
+
+        def key_fn(item) -> str:
+            _, region, tile_halo = item
+            if not halo:
+                return ExperimentCache.key("volume-tile", config_key, slab[region], "")
+            halo_key = tile_halo.digest() if tile_halo is not None else "-"
+            return ExperimentCache.key(
+                "volume-tile-halo", f"{config_key}:{halo_key}", slab[region], ""
+            )
+
+        def compute_many(pending):
+            tasks = [
+                (
+                    compressor,
+                    error_bound,
+                    options,
+                    halo,
+                    tile_halo,
+                    spec if spec is not None else np.ascontiguousarray(slab[region]),
+                    region,
+                )
+                for _, region, tile_halo in pending
+            ]
+            return traced_map(pool, _encode_tile, tasks, f"wave{wave}.tile")
+
+        with obs_span("volume.wave", "volume", wave=wave, tiles=len(items)):
+            triples, level_counters = memoized_map(items, key_fn, compute_many, cache)
+        counters.update(level_counters or {})
+        for (offset, _, _), (compressed, faces, context) in zip(items, triples):
+            results[offset] = compressed
+            if halo:
+                chain.finish(offset, context, faces)
+
+    with WorkerPool(parallel) as pool:
+        for row_start in range(0, shape[0], slab_rows):
+            slab = reader.read(row_start, min(slab_rows, shape[0] - row_start))
+            offsets = [
+                (row_start + o[0], o[1], o[2]) for o in tile_offsets(slab.shape, tile)
+            ]
+            with SharedArraySession() as session:
+                spec = session.share(slab) if use_shared_arrays(parallel) else None
+                for wave, level in _waves(offsets, tile, halo):
+                    run_level(slab, spec, row_start, wave, level)
+            # Release the slab before the next read so the peak holds one
+            # slab, not two.
+            del slab
+
+    return _record_compress(
+        CompressedVolume(
+            shape=shape,
+            tile_shape=tile,
+            compressor=compressor,
+            error_bound=float(error_bound),
+            tiles=tuple(
+                VolumeTile(offset=offset, compressed=results[offset])
+                for offset in tile_offsets(shape, tile)
+            ),
+            cache_counters=dict(counters) if cache is not None else None,
+            halo=halo,
+        ),
+        began,
+    )
+
+
+def _decode_slabs(
+    compressed: CompressedVolume,
+    slab_rows: int,
+    parallel: Optional[ParallelConfig] = None,
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """The decode scheduler: yields ``(row_start, slab)`` in slab order.
+
+    Workers write into the slab buffer and read halo planes back out of
+    it, so a pool runs only when they share it: threads, or process
+    workers over shared memory.  Halo slabs after the first carry one
+    extra leading row, the previous slab's last row, which the axis-0
+    planes of their tiles read; the entropy contexts the chain still
+    needs are the only other carry.
+    """
+
+    shape, tile, halo = compressed.shape, compressed.tile_shape, compressed.halo
+    shared = use_shared_arrays(parallel)
+    if not shared and parallel is not None and parallel.use_processes:
+        parallel = None
+    by_slab: Dict[int, Dict[Tuple[int, int, int], CompressedField]] = {}
+    for vtile in compressed.tiles:
+        by_slab.setdefault(vtile.offset[0] // slab_rows, {})[vtile.offset] = (
+            vtile.compressed
+        )
+    chain = _HaloChain(shape, tile)
+    previous_row: Optional[np.ndarray] = None
+
+    with WorkerPool(parallel) as pool:
+        for row_start in range(0, shape[0], slab_rows):
+            row_base = row_start if previous_row is None else row_start - 1
+            rows = min(row_start + slab_rows, shape[0]) - row_base
+            slab_tiles = by_slab[row_start // slab_rows]
+            with SharedArraySession() as session:
+                if shared:
+                    target, buffer = session.allocate((rows,) + shape[1:], np.float64)
+                else:
+                    buffer = target = np.empty((rows,) + shape[1:], dtype=np.float64)
+                if previous_row is not None:
+                    buffer[0] = previous_row
+                for wave, offsets in _waves(list(slab_tiles), tile, halo):
+                    tasks = []
+                    for offset in offsets:
+                        extent = _tile_extent(offset, tile, shape)
+                        planes = context = None
+                        if halo:
+                            faces, reference = _halo_inputs(offset, tile, extent, row_base)
+                            planes = [None if face is None else face[1] for face in faces]
+                            context = chain.context(reference)
+                        tasks.append(
+                            (
+                                compressed.compressor,
+                                compressed.error_bound,
+                                slab_tiles[offset],
+                                target,
+                                _tile_region(offset, extent, row_base),
+                                planes,
+                                context,
+                            )
+                        )
+                    with obs_span("volume.wave", "volume", wave=wave, tiles=len(tasks)):
+                        decoded = traced_map(pool, _decode_tile, tasks, f"wave{wave}.tile")
+                    if halo:
+                        for offset, (_, own_context) in zip(offsets, decoded):
+                            chain.finish(offset, own_context)
+                slab = buffer[row_start - row_base :]
+                if shared:
+                    slab = slab.copy()
+                del buffer
+            if halo:
+                previous_row = slab[-1].copy()
+            yield row_start, slab
 
 
 def compress_volume(
@@ -414,6 +609,9 @@ def compress_volume(
     their content hash plus the (compressor, bound, options) configuration,
     so byte-identical tiles — constant or repeated regions — compress once.
 
+    ``parallel`` runs each level's tiles over a worker pool; process
+    workers read their tiles out of one shared-memory copy of the volume.
+
     ``halo=True`` turns on halo-aware tiling: tiles are scheduled in
     wavefront order (anti-diagonals of the tile grid — every tile's
     low-face neighbours belong to an earlier wave, tiles within a wave
@@ -424,376 +622,33 @@ def compress_volume(
     lose; the tiles are then only decodable through
     :func:`decompress_volume`'s matching wavefront replay.  Memo keys
     include the halo digest, so halo tiles never alias halo-off results.
+
+    This is the single-slab case of
+    :func:`repro.volumes.streaming.compress_volume_stream`: the same
+    scheduler with every row in one slab, so the bytes are identical.
     """
 
     vol = _check_volume(volume)
-    ensure_positive(error_bound, "error_bound")
     tile = _check_tile_shape(tile_shape)
-    options = dict(compressor_options or {})
-    if cache is None or cache is True:
-        cache = _VOLUME_CACHE
-    elif cache is False:
-        cache = None
-
-    config_key = f"{compressor}:{error_bound!r}:{sorted(options.items())!r}"
-    shards = shard_volume(vol, tile)
-    began = time.perf_counter()
-
-    # Zero-copy path: the volume is shared once, and worker tasks carry a
-    # (spec, region) descriptor instead of the tile bytes.  The session
-    # guarantees the segment is unlinked on every exit path; the pool is
-    # reused across waves so halo runs pay process startup once, not once
-    # per wave.
-    with SharedArraySession() as session, WorkerPool(parallel) as pool:
-        vol_spec = session.share(vol) if use_shared_arrays(parallel) else None
-
-        with obs_span(
-            "volume.compress",
-            "volume",
-            compressor=compressor,
-            tiles=len(shards),
-            halo=halo,
-            zero_copy=vol_spec is not None,
-        ):
-            if halo:
-                tiles, cache_counters = _compress_volume_halo(
-                    shards, tile, compressor, error_bound, options, config_key,
-                    pool, cache, vol_spec,
-                )
-                return _record_compress(
-                    CompressedVolume(
-                        shape=tuple(vol.shape),
-                        tile_shape=tile,
-                        compressor=compressor,
-                        error_bound=float(error_bound),
-                        tiles=tiles,
-                        cache_counters=cache_counters,
-                        halo=True,
-                    ),
-                    began,
-                )
-
-            def key_fn(shard) -> str:
-                return ExperimentCache.key("volume-tile", config_key, shard[1], "")
-
-            def compute_many(pending) -> List[CompressedField]:
-                if vol_spec is not None:
-                    tasks = [
-                        (
-                            compressor,
-                            error_bound,
-                            options,
-                            vol_spec,
-                            _tile_region(offset, tile_values.shape),
-                        )
-                        for offset, tile_values in pending
-                    ]
-                    worker, traced = _compress_tile_shm, _compress_tile_shm_traced
-                else:
-                    tasks = [
-                        (compressor, error_bound, options, tile_values)
-                        for _, tile_values in pending
-                    ]
-                    worker, traced = _compress_tile, _compress_tile_traced
-                if tracing_enabled():
-                    return _run_traced_workers(traced, tasks, pool, wave=0)
-                return pool.map(worker, tasks)
-
-            # The non-halo grid is one single independent batch — traced as
-            # wave 0 so halo-off traces show the same wave/tile hierarchy.
-            with obs_span("volume.wave", "volume", wave=0, tiles=len(shards)):
-                results, cache_counters = memoized_map(
-                    shards, key_fn, compute_many, cache
-                )
-
-            tiles = tuple(
-                VolumeTile(offset=offset, compressed=results[idx])
-                for idx, (offset, _) in enumerate(shards)
-            )
-            return _record_compress(
-                CompressedVolume(
-                    shape=tuple(vol.shape),
-                    tile_shape=tile,
-                    compressor=compressor,
-                    error_bound=float(error_bound),
-                    tiles=tiles,
-                    cache_counters=cache_counters,
-                ),
-                began,
-            )
-
-
-def _tile_region(offset: Sequence[int], extent: Sequence[int]):
-    """The output-array region a tile at ``offset`` with ``extent`` covers."""
-
-    return tuple(
-        slice(start, start + length) for start, length in zip(offset, extent)
-    )
-
-
-def _compress_volume_halo(
-    shards,
-    tile: Tuple[int, int, int],
-    compressor: str,
-    error_bound: float,
-    options: Dict,
-    config_key: str,
-    pool: WorkerPool,
-    cache: Optional[ExperimentCache],
-    vol_spec=None,
-):
-    """Wavefront-ordered halo compression over the sharded tiles.
-
-    ``vol_spec`` (a :class:`~repro.utils.parallel.SharedArraySpec` of the
-    whole volume) switches the tile workers to the zero-copy descriptor
-    protocol; ``None`` keeps the pickle path.
-    """
-
-    from repro.compressors.halo import TileHalo
-
-    by_offset: Dict[Tuple[int, int, int], int] = {
-        offset: idx for idx, (offset, _) in enumerate(shards)
-    }
-    waves: Dict[int, List[int]] = {}
-    for idx, (offset, _) in enumerate(shards):
-        wave = sum(o // t for o, t in zip(offset, tile))
-        waves.setdefault(wave, []).append(idx)
-
-    faces: Dict[Tuple[int, int, int], Dict[int, np.ndarray]] = {}
-    contexts: Dict[Tuple[int, int, int], Optional[object]] = {}
-    results: List[Optional[CompressedField]] = [None] * len(shards)
-    total_counters: Optional[Dict[str, int]] = None
-
-    for wave in sorted(waves):
-        indices = waves[wave]
-        halos: List[Optional[TileHalo]] = []
-        for idx in indices:
-            offset, _ = shards[idx]
-            planes: List[Optional[np.ndarray]] = []
-            for axis in range(3):
-                if offset[axis] > 0:
-                    neighbour = list(offset)
-                    neighbour[axis] -= tile[axis]
-                    planes.append(faces[tuple(neighbour)].get(axis))
-                else:
-                    planes.append(None)
-            ref_axis = _reference_axis(tuple(o // t for o, t in zip(offset, tile)))
-            context = None
-            if ref_axis is not None:
-                neighbour = list(offset)
-                neighbour[ref_axis] -= tile[ref_axis]
-                context = contexts[tuple(neighbour)]
-            halos.append(TileHalo.build(planes, context))
-
-        items = [(shards[idx][0], shards[idx][1], halo) for idx, halo in zip(indices, halos)]
-
-        def key_fn(item) -> str:
-            _, tile_values, halo = item
-            halo_key = halo.digest() if halo is not None else "-"
-            return ExperimentCache.key(
-                "volume-tile-halo", f"{config_key}:{halo_key}", tile_values, ""
-            )
-
-        def compute_many(pending):
-            if vol_spec is not None:
-                tasks = [
-                    (
-                        compressor,
-                        error_bound,
-                        options,
-                        vol_spec,
-                        _tile_region(offset, tile_values.shape),
-                        halo,
-                    )
-                    for offset, tile_values, halo in pending
-                ]
-                worker, traced = (
-                    _compress_tile_halo_shm,
-                    _compress_tile_halo_shm_traced,
-                )
-            else:
-                tasks = [
-                    (compressor, error_bound, options, tile_values, halo)
-                    for _, tile_values, halo in pending
-                ]
-                worker, traced = _compress_tile_halo, _compress_tile_halo_traced
-            if tracing_enabled():
-                return _run_traced_workers(traced, tasks, pool, wave=wave)
-            return pool.map(worker, tasks)
-
-        with obs_span("volume.wave", "volume", wave=wave, tiles=len(indices)):
-            wave_results, counters = memoized_map(
-                items, key_fn, compute_many, cache
-            )
-        if counters is not None:
-            total_counters = total_counters or {}
-            for key, value in counters.items():
-                total_counters[key] = total_counters.get(key, 0) + value
-        for idx, (compressed, tile_faces, context) in zip(indices, wave_results):
-            offset, _ = shards[idx]
-            results[idx] = compressed
-            faces[offset] = tile_faces
-            contexts[offset] = context
-
-    tiles = tuple(
-        VolumeTile(offset=offset, compressed=results[idx])
-        for idx, (offset, _) in enumerate(shards)
-    )
-    return tiles, total_counters
-
-
-def _decode_tile_shm(task):
-    """Zero-copy decode worker (top-level, picklable).
-
-    The task carries the compressed tile plus a
-    :class:`~repro.utils.parallel.SharedArraySpec` of the shared *output*
-    volume: halo neighbour planes are read straight out of it (lower
-    waves are complete by the wavefront invariant) and the reconstruction
-    is written straight back into it.  The documented return payload is
-    ``(shape, entropy_context)`` — the only bytes that ride the pickle
-    channel.
-    """
-
-    from repro.compressors.halo import TileHalo
-
-    name, error_bound, tile_compressed, out_spec, offset, plane_regions, context = task
-    codec = make_compressor(name, error_bound)
-    if plane_regions is not None:
-        planes = [
-            read_shared(out_spec, region) if region is not None else None
-            for region in plane_regions
-        ]
-        halo = TileHalo.build(planes, context)
-        if getattr(codec, "supports_halo", False):
-            values, own_context = codec.decompress_with_context(
-                tile_compressed, halo=halo
-            )
-        else:
-            values, own_context = codec.decompress(tile_compressed), None
-    else:
-        values, own_context = codec.decompress(tile_compressed), None
-    write_shared(out_spec, _tile_region(offset, values.shape), values)
-    return tuple(values.shape), own_context
-
-
-def _decode_tile_shm_traced(task):
-    """Traced variant of :func:`_decode_tile_shm`.
-
-    Returns ``((shape, context), span_tuples)`` so the submitting side can
-    adopt the worker's span capture under its wave span.
-    """
-
-    with worker_capture() as tracer:
-        with tracer.span("volume.tile.decode", "volume", offset=repr(task[4])):
-            result = _decode_tile_shm(task)
-    return result, tracer.export_tuples()
-
-
-def _decode_waves(compressed: CompressedVolume) -> List[List[int]]:
-    """Tile indices grouped into anti-diagonal waves (scan order within).
-
-    For a halo volume every in-wave tile's low-face neighbours sit in
-    earlier waves (the PR 5 grid-parity invariant), so tiles of one wave
-    decode independently; a halo-off volume is a single wave of fully
-    independent tiles.
-    """
-
-    if not compressed.halo:
-        return [list(range(len(compressed.tiles)))]
-    waves: Dict[int, List[int]] = {}
-    for idx, tile in enumerate(compressed.tiles):
-        wave = sum(o // t for o, t in zip(tile.offset, compressed.tile_shape))
-        waves.setdefault(wave, []).append(idx)
-    return [waves[wave] for wave in sorted(waves)]
-
-
-def _decompress_volume_parallel(
-    compressed: CompressedVolume, parallel: ParallelConfig
-) -> np.ndarray:
-    """Parallel wavefront decode into a shared output volume.
-
-    Mirrors the compress-side wavefront: tiles of a wave are decoded
-    concurrently by workers that write reconstructions directly into one
-    shared output segment and read halo planes from it; only entropy
-    contexts (small) cross the boundary between waves.  Bit-identical to
-    the serial scan-order decode because halo planes and contexts are
-    schedule-independent.
-    """
-
-    tile_shape = compressed.tile_shape
-    contexts: Dict[Tuple[int, int, int], Optional[object]] = {}
-    with SharedArraySession() as session, WorkerPool(parallel) as pool:
-        out_spec, out_view = session.allocate(compressed.shape, np.float64)
-        waves = _decode_waves(compressed)
-        with obs_span(
-            "volume.decompress",
-            "volume",
-            compressor=compressed.compressor,
-            tiles=compressed.n_tiles,
-            halo=compressed.halo,
-            zero_copy=True,
-        ):
-            for wave, indices in enumerate(waves):
-                tasks = []
-                for idx in indices:
-                    tile = compressed.tiles[idx]
-                    offset = tile.offset
-                    plane_regions = None
-                    context = None
-                    if compressed.halo:
-                        extent = tuple(
-                            min(t, s - o)
-                            for t, s, o in zip(
-                                tile_shape, compressed.shape, offset
-                            )
-                        )
-                        plane_regions = []
-                        for axis in range(3):
-                            if offset[axis] > 0:
-                                plane_regions.append(
-                                    tuple(
-                                        offset[a] - 1
-                                        if a == axis
-                                        else slice(
-                                            offset[a], offset[a] + extent[a]
-                                        )
-                                        for a in range(3)
-                                    )
-                                )
-                            else:
-                                plane_regions.append(None)
-                        ref_axis = _reference_axis(
-                            tuple(o // t for o, t in zip(offset, tile_shape))
-                        )
-                        if ref_axis is not None:
-                            neighbour = list(offset)
-                            neighbour[ref_axis] -= tile_shape[ref_axis]
-                            context = contexts[tuple(neighbour)]
-                    tasks.append(
-                        (
-                            compressed.compressor,
-                            compressed.error_bound,
-                            tile.compressed,
-                            out_spec,
-                            offset,
-                            plane_regions,
-                            context,
-                        )
-                    )
-                with obs_span(
-                    "volume.wave", "volume", wave=wave, tiles=len(indices)
-                ):
-                    if tracing_enabled():
-                        results = _run_traced_workers(
-                            _decode_tile_shm_traced, tasks, pool, wave=wave
-                        )
-                    else:
-                        results = pool.map(_decode_tile_shm, tasks)
-                for idx, (_, own_context) in zip(indices, results):
-                    contexts[compressed.tiles[idx].offset] = own_context
-        out = out_view.copy()
-        del out_view
-    return out
+    with obs_span(
+        "volume.compress",
+        "volume",
+        compressor=compressor,
+        tiles=len(tile_offsets(vol.shape, tile)),
+        halo=halo,
+        zero_copy=use_shared_arrays(parallel),
+    ):
+        return _compress_slabs(
+            _ArraySlabSource(vol),
+            vol.shape[0],
+            compressor,
+            error_bound,
+            tile,
+            compressor_options,
+            parallel,
+            cache,
+            halo,
+        )
 
 
 def decompress_volume(
@@ -803,77 +658,30 @@ def decompress_volume(
 ) -> np.ndarray:
     """Reassemble the volume from its compressed tiles.
 
-    Halo volumes are decoded in scan order (which visits every tile after
-    its low-face neighbours): each tile's halo planes are sliced straight
-    from the already-reconstructed output array, and entropy contexts are
-    regenerated tile by tile — bit-identical to what the encoder saw, by
-    construction.
+    Tiles decode level by level — the anti-diagonals of the tile grid for
+    a halo volume, one level otherwise — each tile against halo planes
+    read straight from the already-reconstructed output and the entropy
+    context its reference neighbour's decode regenerated: bit-identical
+    to what the encoder saw, by construction.
 
-    ``parallel`` opts into the wavefront decode: tiles of each
-    anti-diagonal wave are decoded concurrently by process-pool workers
-    sharing one output segment (see :func:`_decompress_volume_parallel`).
-    It requires a process pool and working shared memory; thread configs
-    and shared-memory-less platforms fall back to the serial path, whose
-    output is bit-identical anyway.
+    ``parallel`` decodes each level's tiles concurrently, with workers
+    writing into one output array.  A thread pool shares it directly; a
+    process pool needs working shared memory and otherwise falls back to
+    the serial decode, as does ``workers == 1``.  Every schedule's output
+    is bit-identical.
     """
 
-    if use_shared_arrays(parallel):
-        return _decompress_volume_parallel(compressed, parallel)
-
-    out = np.empty(compressed.shape, dtype=np.float64)
-    codec = make_compressor(compressed.compressor, compressed.error_bound)
-    if not compressed.halo:
-        for tile in compressed.tiles:
-            values = codec.decompress(tile.compressed)
-            region = tuple(
-                slice(start, start + length)
-                for start, length in zip(tile.offset, values.shape)
-            )
-            out[region] = values
-        return out
-
-    from repro.compressors.halo import TileHalo
-
-    tile_shape = compressed.tile_shape
-    contexts: Dict[Tuple[int, int, int], Optional[object]] = {}
-    for tile in compressed.tiles:
-        offset = tile.offset
-        extent = tuple(
-            min(t, s - o) for t, s, o in zip(tile_shape, compressed.shape, offset)
-        )
-        planes: List[Optional[np.ndarray]] = []
-        for axis in range(3):
-            if offset[axis] > 0:
-                region = tuple(
-                    offset[a] - 1
-                    if a == axis
-                    else slice(offset[a], offset[a] + extent[a])
-                    for a in range(3)
-                )
-                planes.append(np.ascontiguousarray(out[region]))
-            else:
-                planes.append(None)
-        ref_axis = _reference_axis(
-            tuple(o // t for o, t in zip(offset, tile_shape))
-        )
-        context = None
-        if ref_axis is not None:
-            neighbour = list(offset)
-            neighbour[ref_axis] -= tile_shape[ref_axis]
-            context = contexts[tuple(neighbour)]
-        halo = TileHalo.build(planes, context)
-        if getattr(codec, "supports_halo", False):
-            values, own_context = codec.decompress_with_context(
-                tile.compressed, halo=halo
-            )
-        else:
-            values, own_context = codec.decompress(tile.compressed), None
-        contexts[offset] = own_context
-        region = tuple(
-            slice(start, start + length)
-            for start, length in zip(offset, values.shape)
-        )
-        out[region] = values
+    with obs_span(
+        "volume.decompress",
+        "volume",
+        compressor=compressed.compressor,
+        tiles=compressed.n_tiles,
+        halo=compressed.halo,
+        zero_copy=use_shared_arrays(parallel),
+    ):
+        # The single slab; unpacking runs the scheduler to its end, which
+        # closes its pool and shared-memory session.
+        ((_, out),) = _decode_slabs(compressed, compressed.shape[0], parallel)
     return out
 
 

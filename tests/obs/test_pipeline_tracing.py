@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.miranda import generate_miranda_like_volume
-from repro.obs.trace import Tracer, install_tracer
+from repro.obs.trace import Tracer, active_tracer, install_tracer
 from repro.utils.parallel import ParallelConfig
 from repro.volumes.pipeline import compress_volume, decompress_volume
 
@@ -86,6 +86,25 @@ class TestProcessPool:
             volume, parallel=ParallelConfig(workers=2), halo=True
         )
         _assert_tree(tracer, n_tiles=8)
+
+
+class TestThreadPool:
+    def test_thread_workers_keep_the_installed_tracer(self, volume):
+        # Thread-pool tasks run concurrently in one process: each must
+        # capture into its own tracer without swapping the caller's.
+        tracer = Tracer()
+        with install_tracer(tracer):
+            for _ in range(3):
+                compress_volume(
+                    volume,
+                    "sz",
+                    BOUND,
+                    tile_shape=(4, 4, 4),
+                    parallel=ParallelConfig(workers=4, use_processes=False),
+                    cache=False,
+                )
+                assert active_tracer() is tracer
+        assert len([s for s in tracer.spans() if s.name == "volume.tile"]) == 3 * 64
 
 
 class TestDisabledPathUnchanged:

@@ -8,14 +8,18 @@ must match the serial ``decode_at`` recursion exactly."""
 from __future__ import annotations
 
 import pathlib
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.datasets.gaussian import generate_gaussian_field
 from repro.datasets.miranda import generate_miranda_like_volume
+from repro.obs.trace import Tracer, install_tracer
 from repro.serve.cache import HotChunkCache
 from repro.store import ArrayStore
+from repro.store.format import IndexRecord, StoreCorruptionError
+from repro.store.snapshot import RAW_CODEC, StoreSnapshot
 from repro.utils.parallel import (
     ParallelConfig,
     SEGMENT_PREFIX,
@@ -125,3 +129,49 @@ class TestAppendedStore:
             store.read(parallel=PARALLEL), store.read()
         )
         assert _no_leaks()
+
+
+class TestMalformedChunks:
+    def test_short_raw_chunk_raises_corruption_in_both_readers(self):
+        # A raw record 8 bytes short whose CRC matches its payload: only
+        # the length check can catch it, and both readers must make it.
+        payload = np.arange(16 * 16, dtype="<f8").tobytes()[:-8]
+        meta = {
+            "shape": [16, 16],
+            "chunk_shape": [16, 16],
+            "dtype": "float64",
+            "error_bound": BOUND,
+            "codec": RAW_CODEC,
+        }
+        record = IndexRecord(
+            offset=0,
+            length=len(payload),
+            codec=RAW_CODEC,
+            checksum=zlib.crc32(payload),
+        )
+        snapshot = StoreSnapshot(meta, [record], data=payload)
+        with pytest.raises(StoreCorruptionError, match="raw chunk payload"):
+            snapshot.read()
+        with pytest.raises(StoreCorruptionError, match="raw chunk payload"):
+            snapshot.read(parallel=PARALLEL)
+        assert _no_leaks()
+
+
+class TestTracing:
+    def test_worker_decode_spans_parent_under_their_wave(self, tmp_path):
+        store = ArrayStore.create(
+            tmp_path / "traced", chunk_shape=16, codec="sz", error_bound=BOUND,
+            halo=True,
+        )
+        store.write(generate_miranda_like_volume((32, 32, 16), seed=4), cache=False)
+        tracer = Tracer()
+        with install_tracer(tracer):
+            store.read(parallel=PARALLEL)
+        spans = tracer.spans()
+        by_id = {s.span_id: s for s in spans}
+        waves = [s for s in spans if s.name == "store.decode_wave"]
+        decodes = [s for s in spans if s.name == "store.decode_chunk"]
+        assert sorted(w.args["wave"] for w in waves) == [0, 1]
+        assert len(decodes) == store.last_read.chunks_decoded
+        assert all(by_id[d.parent_id].name == "store.decode_wave" for d in decodes)
+        assert all(d.lane.startswith("wave") for d in decodes)

